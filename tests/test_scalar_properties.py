@@ -1,0 +1,191 @@
+"""Property tests for the Q(j) kernel.
+
+The kernel stores ``(p + q*j) / r`` as three integers.  These tests check
+it against the field axioms, against conjugation as an involutive
+automorphism, and term by term against a reference model written here: a
+pair of ``Fraction`` components with the textbook formulas for
+``a + b*j`` and ``j**2 = -1 - j``.  Example generation is derandomized so
+that every run checks the same cases.
+"""
+
+from __future__ import annotations
+
+import copy
+import math
+import pickle
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from z3forms.scalar import J, J2, ONE, ZERO, Scalar, scalar  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+rationals = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+    st.fractions(max_denominator=10**12),
+)
+scalars = st.builds(Scalar, rationals, rationals)
+nonzero = scalars.filter(lambda x: not x.is_zero())
+
+
+# -- reference model: (a, b) means a + b*j, with Fraction components ----------
+
+
+def ref(x: Scalar) -> tuple[Fraction, Fraction]:
+    return (x.a, x.b)
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    a, b, c, d = x[0], x[1], y[0], y[1]
+    return (a * c - b * d, a * d + b * c - b * d)
+
+
+def ref_conjugate(x):
+    return (x[0] - x[1], -x[1])
+
+
+def ref_norm(x):
+    a, b = x
+    return a * a - a * b + b * b
+
+
+def ref_inverse(x):
+    n = ref_norm(x)
+    c = ref_conjugate(x)
+    return (c[0] / n, c[1] / n)
+
+
+# -- field axioms ----------------------------------------------------------------
+
+
+@PROPERTY
+@given(scalars, scalars, scalars)
+def test_ring_axioms(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + ZERO == x
+    assert x * ONE == x
+    assert x * ZERO == ZERO
+    assert x + (-x) == ZERO
+    assert x - y == x + (-y)
+
+
+@PROPERTY
+@given(nonzero, scalars)
+def test_inverse(x, y):
+    assert x * x.inverse() == ONE
+    assert x.inverse().inverse() == x
+    assert (y / x) * x == y
+
+
+def test_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        ZERO.inverse()
+
+
+@PROPERTY
+@given(scalars, scalars)
+def test_conjugation_is_an_involutive_automorphism(x, y):
+    assert x.conjugate().conjugate() == x
+    assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert (-x).conjugate() == -x.conjugate()
+    assert scalar(x.a).conjugate() == scalar(x.a)
+    assert (x * x.conjugate()).is_rational()
+    assert x * x.conjugate() == scalar(x.norm())
+
+
+def test_conjugation_swaps_the_cube_roots():
+    assert J.conjugate() == J2
+    assert J2.conjugate() == J
+    assert ONE.conjugate() == ONE
+
+
+# -- agreement with the reference model --------------------------------------------
+
+
+@PROPERTY
+@given(scalars, scalars)
+def test_operations_agree_with_the_fraction_model(x, y):
+    rx, ry = ref(x), ref(y)
+    assert ref(x + y) == ref_add(rx, ry)
+    assert ref(x - y) == ref_sub(rx, ry)
+    assert ref(x * y) == ref_mul(rx, ry)
+    assert ref(-x) == (-rx[0], -rx[1])
+    assert ref(x.conjugate()) == ref_conjugate(rx)
+    assert x.norm() == ref_norm(rx)
+    if not x.is_zero():
+        assert ref(x.inverse()) == ref_inverse(rx)
+
+
+@PROPERTY
+@given(scalars)
+def test_embedding_agrees_with_the_fraction_model(x):
+    a, b = ref(x)
+    want = (float(a) - float(b) / 2.0, float(b) * math.sqrt(3.0) / 2.0)
+    assert x.embed_complex() == want
+
+
+# -- canonical form ------------------------------------------------------------------
+
+
+@PROPERTY
+@given(scalars, scalars)
+def test_canonical_form(x, y):
+    for v in (x, y, x + y, x - y, x * y, -x, x.conjugate()):
+        assert v._r > 0
+        assert math.gcd(v._p, v._q, v._r) == 1
+        assert type(v.a) is Fraction and type(v.b) is Fraction
+        same = Scalar(v.a, v.b)
+        assert same == v and hash(same) == hash(v)
+    s = (x + y) - y
+    assert s == x and hash(s) == hash(x)
+
+
+@PROPERTY
+@given(scalars)
+def test_repr_pickle_and_copy_round_trip(x):
+    assert eval(repr(x), {"Scalar": Scalar, "Fraction": Fraction}) == x
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x
+
+
+def test_equal_values_from_unreduced_inputs():
+    assert Scalar(Fraction(2, 4)) == Scalar(Fraction(1, 2))
+    assert hash(Scalar(Fraction(2, 4))) == hash(Scalar(Fraction(1, 2)))
+    assert Scalar(Fraction(6, 4), Fraction(-3, 6)) == Scalar(Fraction(3, 2), Fraction(-1, 2))
+    assert Scalar(0, 0) == ZERO and scalar(Fraction(0, 7)) == ZERO
+    assert Scalar(a=1, b=1) == ONE + J
+
+
+def test_equality_is_between_scalars_only():
+    assert ONE.__eq__(1) is NotImplemented
+    assert ONE != 1
+    assert ZERO != 0
+
+
+def test_assignment_raises_attribute_error():
+    x = Scalar(1, 2)
+    for name in ("a", "b", "_p", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 3)
+    with pytest.raises(AttributeError):
+        del x.a
+    assert x == Scalar(1, 2)
