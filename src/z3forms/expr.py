@@ -182,11 +182,19 @@ def _tokenize(text: str) -> list[_Token]:
 
 _ATOM_START = {"int", "ident", "(", "~"}
 
+#: Deepest atom nesting the parser accepts.  Every nested construct
+#: (parentheses, ``~``, ``d(...)``, ``d[i]``, ``delta(...)``, matrix entries)
+#: re-enters ``parse_atom``, at most five Python frames per level, so this
+#: keeps the parser and the evaluator that walks the tree well inside
+#: Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -244,13 +252,25 @@ class _Parser:
 
     def parse_atom(self) -> Node:
         tok = self.peek()
+        if self.depth == MAX_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_DEPTH} levels", tok.line, tok.col
+            )
+        self.depth += 1
+        node = self._atom(tok)
+        self.depth -= 1
+        return node
+
+    def _atom(self, tok: _Token) -> Node:
         if tok.kind == "int":
             self.next()
             value = Fraction(int(tok.text))
             if self.peek().kind == "/":
                 self.next()
                 den = self.expect("int")
-                value /= Fraction(int(den.text))
+                if int(den.text) == 0:
+                    raise ParseError("zero denominator", den.line, den.col)
+                value /= int(den.text)
             return Lit(value)
         if tok.kind == "(":
             self.next()
