@@ -143,11 +143,7 @@ class ConjForm:
             letters = []
             for kind, payload in reversed(word):
                 if kind == "c":
-                    sym: JetSymbol = payload
-                    if sym.name in self.real or sym.is_coordinate():
-                        letters.append(("c", sym))
-                    else:
-                        letters.append(("c", sym.bar_toggled()))
+                    letters.append(("c", payload.conjugated(self.real)))
                 else:
                     letters.append((_MIRROR_BACK[kind], payload))
             out._add_term(coeff.conjugate(), tuple(letters))
@@ -172,11 +168,7 @@ def conjugate_form(x: Form, real: frozenset[str] = frozenset()) -> ConjForm:
         letters = []
         for kind, payload in reversed(word):
             if kind == "c":
-                sym: JetSymbol = payload
-                if sym.name in real or sym.is_coordinate():
-                    letters.append(("c", sym))
-                else:
-                    letters.append(("c", sym.bar_toggled()))
+                letters.append(("c", payload.conjugated(real)))
             else:
                 letters.append((_MIRROR[kind], payload))
         items.append((coeff.conjugate(), tuple(letters)))
@@ -207,7 +199,7 @@ def scalar_product(w: Form, phi: Form, cfg: PairingConfig) -> CoeffExpr:
 
 
 def _real_names(conn: Connection) -> frozenset[str]:
-    names = {"mu"}
+    names: set[str] = set()
     for expr in conn.coefficients.values():
         for word, _ in expr:
             names.update(sym.name for sym in word)

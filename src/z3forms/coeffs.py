@@ -70,6 +70,15 @@ class JetSymbol:
     def is_coordinate(self) -> bool:
         return self.name == COORDINATE_BASE and self.index is not None
 
+    def conjugated(self, real: frozenset[str] | set[str] = frozenset()) -> JetSymbol:
+        """Image under conjugation: unchanged if real, else the barred partner.
+
+        Real are the base names in ``real``, coordinates and constants.
+        """
+        if self.name in real or self.is_coordinate() or self.name in CONSTANT_NAMES:
+            return self
+        return self.bar_toggled()
+
     def sort_key(self) -> tuple:
         return (self.name, self.index if self.index is not None else -1,
                 self.derivs, self.barred)
@@ -274,13 +283,8 @@ class CoeffExpr:
         """
         items: list[tuple[Scalar, tuple[JetSymbol, ...]]] = []
         for word, coeff in self.terms.items():
-            new = []
-            for sym in reversed(word):
-                if sym.name in real or sym.is_coordinate() or sym.name in CONSTANT_NAMES:
-                    new.append(sym)
-                else:
-                    new.append(sym.bar_toggled())
-            items.append((coeff.conjugate(), tuple(new)))
+            new = tuple(sym.conjugated(real) for sym in reversed(word))
+            items.append((coeff.conjugate(), new))
         return CoeffExpr(items, self.commutative)
 
     # -- rendering -----------------------------------------------------------

@@ -16,7 +16,7 @@ from z3forms import (
     run_verify,
 )
 from z3forms.cli import main
-from z3forms.expr import parse
+from z3forms.expr import MAX_DEPTH, parse
 
 # Every syntax-tree node kind appears below: numeric literals, phase
 # literals, symbols (indexed, with derivative lists, barred), generators,
@@ -231,6 +231,46 @@ def test_cli_exit_codes(capsys):
     assert main(["verify", "scalar", "--cases", "2"]) == 0
     assert main(["verify", "gauge", "--cases", "2"]) == 1  # known obstructions
     capsys.readouterr()
+
+
+def test_cli_zero_denominator_is_a_parse_error(capsys):
+    for text in ("1/0", "f + 2/00 dx[1]"):
+        assert main(["normalize", "-e", text]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+    with pytest.raises(ParseError) as info:
+        parse("3/0")
+    assert (info.value.line, info.value.col) == (1, 3)
+
+
+NESTINGS = {
+    "parentheses": lambda k: "(" * k + "f" + ")" * k,
+    "negation": lambda k: "-(" * k + "f" + ")" * k,
+    "bar": lambda k: "~" * k + "f",
+    "d": lambda k: "d(" * k + "f dx[1]" + ")" * k,
+    "partial": lambda k: "d[1] " * k + "f",
+    "delta": lambda k: "delta(" * k + "dx[1] dx[1] dx[2]" + ")" * k,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_cli_deep_nesting_is_a_parse_error(kind, capsys):
+    nest = NESTINGS[kind]
+    for depth in (MAX_DEPTH, 3000):
+        assert main(["normalize", "--dim", "2", "--expr=" + nest(depth)]) == 2
+        assert "nested deeper than" in capsys.readouterr().err
+    # One level less parses; the delta chain then fails evaluation, cleanly.
+    code = main(["normalize", "--dim", "2", "--expr=" + nest(MAX_DEPTH - 1)])
+    assert code == (2 if kind == "delta" else 0)
+    assert "nested deeper than" not in capsys.readouterr().err
+
+
+def test_cli_constant_under_delta(capsys):
+    argv = ["normalize", "-e", "delta(2/3 mu dx[1] dx[1] dx[2])", "--dim", "2"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.strip()
+    assert first == "delta(2/3 * mu dx[1] dx[1] dx[2])"
+    assert main(["normalize", "-e", first, "--dim", "2"]) == 0
+    assert capsys.readouterr().out.strip() == first
 
 
 def test_cli_verify_json(capsys):
