@@ -21,6 +21,7 @@ Z3FORMS_DIM environment variable (fallback 4).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,7 +60,13 @@ def _default_dim() -> int:
         raise SystemExit(f"z3forms: invalid Z3FORMS_DIM {raw!r}")
 
 
+@functools.lru_cache(maxsize=16)
 def _build_parser(default_dim: int) -> argparse.ArgumentParser:
+    """The argument parser for one default dimension, built once and reused.
+
+    Parsing leaves a parser unchanged, so every call may share it; the
+    environment is still read by ``_default_dim`` on each call.
+    """
     top = argparse.ArgumentParser(
         prog="z3forms",
         description="exact calculus with a cubic differential: d^3 = 0, d^2 != 0",

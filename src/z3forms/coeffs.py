@@ -60,6 +60,17 @@ class JetSymbol:
         if self.name in CONSTANT_NAMES and (self.derivs or self.barred):
             raise ValueError(f"{self.name} is a real constant: it has no jets "
                              "and no conjugate partner")
+        # Symbols are dict keys in every word: hash once, not per lookup.
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.index, self.derivs, self.barred))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        # str hashes differ between processes: rebuild, never pickle _hash.
+        return (JetSymbol, (self.name, self.index, self.derivs, self.barred))
 
     def with_deriv(self, m: int) -> JetSymbol:
         return JetSymbol(self.name, self.index, self.derivs + (m,), self.barred)
@@ -138,7 +149,17 @@ def _cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
     return letters
 
 
+#: Base names whose letters normalization may cancel or move.
+_SPECIAL_NAMES = frozenset(n for pair in INVERSE_PAIRS for n in pair) | CONSTANT_NAMES
+
+
 def normalize_word(word: Iterable[JetSymbol], commutative: bool) -> Word:
+    word = tuple(word)
+    for sym in word:
+        if sym.name in _SPECIAL_NAMES:
+            break
+    else:
+        return tuple(sorted(word, key=JetSymbol.sort_key)) if commutative else word
     letters = list(word)
     if commutative:
         letters = _cancel_counted(letters)
@@ -208,27 +229,34 @@ class CoeffExpr:
 
     # -- linear structure -------------------------------------------------------
 
+    # The operands' words are canonical already, so these results are
+    # built from their dicts without normalizing again.
+
     def __add__(self, other: CoeffExpr) -> CoeffExpr:
         self._require_same_mode(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            val = out.get(w, ZERO) + c
+            old = out.get(w)
+            if old is None:
+                out[w] = c
+                continue
+            val = old + c
             if val.is_zero():
-                out.pop(w, None)
+                del out[w]
             else:
                 out[w] = val
-        return CoeffExpr(out, self.commutative)
+        return _make(out, self.commutative)
 
     def __sub__(self, other: CoeffExpr) -> CoeffExpr:
-        return self + other.scale(-ONE)
+        return self + -other
 
     def __neg__(self) -> CoeffExpr:
-        return self.scale(-ONE)
+        return _make({w: -c for w, c in self.terms.items()}, self.commutative)
 
     def scale(self, s: Scalar) -> CoeffExpr:
         if s.is_zero():
-            return CoeffExpr.zero(self.commutative)
-        return CoeffExpr({w: c * s for w, c in self.terms.items()}, self.commutative)
+            return _make({}, self.commutative)
+        return _make({w: c * s for w, c in self.terms.items()}, self.commutative)
 
     def __mul__(self, other: CoeffExpr) -> CoeffExpr:
         self._require_same_mode(other)
@@ -296,6 +324,14 @@ class CoeffExpr:
 
     def __repr__(self) -> str:
         return f"CoeffExpr({self.terms!r}, commutative={self.commutative})"
+
+
+def _make(terms: dict[Word, Scalar], commutative: bool) -> CoeffExpr:
+    """A CoeffExpr from canonical words with nonzero coefficients."""
+    out = object.__new__(CoeffExpr)
+    out.terms = terms
+    out.commutative = commutative
+    return out
 
 
 def multiply_coeff(x: CoeffExpr, y: CoeffExpr) -> CoeffExpr:

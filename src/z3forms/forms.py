@@ -70,26 +70,25 @@ def word_key(word: FormWord) -> tuple:
             tuple(_letter_key(l) for l in word))
 
 
-def canonical_rotation(triple: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]:
-    """(s, least) where rotating ``triple`` left s times gives the least rotation."""
-    best: tuple[int, tuple[int, int, int]] | None = None
-    for s in range(3):
-        rot = triple[s:] + triple[:s]
-        if best is None or rot < best[1]:
-            best = (s, rot)
-    assert best is not None
-    return best
+def canonical_cycle(triple: tuple, phase_step: int = 1) -> tuple[Scalar, tuple] | None:
+    """(j^(phase_step * s), least rotation) of a triple, or None if all coincide.
+
+    ``s`` is the number of left rotations that gives the least rotation.  A
+    triple of three equal letters is zero: its orbit relation forces
+    (1 - j) w = 0.
+    """
+    if triple[0] == triple[1] == triple[2]:
+        return None
+    rotations = [triple, triple[1:] + triple[:1], triple[2:] + triple[:2]]
+    least = min(rotations)
+    return (jpow(phase_step * rotations.index(least)), least)
 
 
 def _canonical_generators(gens: list[Letter]) -> tuple[Scalar, tuple[Letter, ...]] | None:
     """Canonicalize the generator part of a degree-3 word; None means zero."""
     kinds = tuple(g[0] for g in gens)
     if kinds == ("dx", "dx", "dx"):
-        idx = tuple(g[1] for g in gens)  # type: ignore[misc]
-        if idx[0] == idx[1] == idx[2]:
-            return None  # the rotation orbit relation forces (1 - j) w = 0
-        s, rot = canonical_rotation(idx)  # type: ignore[arg-type]
-        return (jpow(s), tuple(("dx", i) for i in rot))
+        return canonical_cycle(tuple(gens))
     if kinds == ("ddx", "dx"):
         return (ONE, tuple(gens))
     if kinds == ("dx", "ddx"):

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .scalar import J2, ONE, Scalar, ZERO, jpow
+from .forms import canonical_cycle
+from .scalar import J2, ONE, Scalar, ZERO
 
 # A letter is ("th" | "bth", index).
 GrassLetter = tuple[str, int]
@@ -41,21 +42,6 @@ def letter_grade(letter: GrassLetter) -> int:
 
 def word_grade(word: GrassWord) -> int:
     return sum(letter_grade(l) for l in word) % 3
-
-
-def _canonical_cycle(word: GrassWord, phase_step: int) -> tuple[Scalar, GrassWord] | None:
-    """Least cyclic rotation of a pure triple; None when all indices coincide."""
-    idx = tuple(l[1] for l in word)
-    if idx[0] == idx[1] == idx[2]:
-        return None  # the orbit relation forces (1 - j) w = 0
-    best: tuple[int, GrassWord] | None = None
-    for s in range(3):
-        rot = word[s:] + word[:s]
-        if best is None or rot < best[1]:
-            best = (s, rot)
-    assert best is not None
-    s, rot = best
-    return (jpow(phase_step * s), rot)
 
 
 def _normalize_letters(word: GrassWord, N: int) -> tuple[Scalar, GrassWord] | None:
@@ -79,7 +65,7 @@ def _normalize_letters(word: GrassWord, N: int) -> tuple[Scalar, GrassWord] | No
     # length 3
     if len(kinds) > 1:
         return None  # mixed three-letter words vanish in the reduced algebra
-    return _canonical_cycle(word, 1 if kinds == {"th"} else 2)
+    return canonical_cycle(word, 1 if kinds == {"th"} else 2)
 
 
 class GrassElement:

@@ -7,38 +7,49 @@ The grade of a matrix is read off its support pattern:
 * grade 2: entries only at (1,3), (2,1), (3,2).
 
 The three patterns partition the nine cells, so every matrix decomposes
-uniquely into graded parts.  The cyclic step matrix ``eta`` (ones at the
-grade-1 pattern) satisfies ``eta**3 == identity`` and induces the
-differential ``d(B) = eta B - j^b B eta`` on a part of grade b, which is
-nilpotent of order three: d(d(d(B))) == 0 for every B.
+uniquely into graded parts.  A ``GradedMatrix`` stores exactly that
+decomposition: ``parts[g][i]`` is the entry at (i, i+g mod 3) (0-based).
+A product of parts of grades a and b lands in grade a+b, with
+``c[i] = a[i] * b[(i+a) mod 3]``.  The cyclic step matrix ``eta`` (ones at
+the grade-1 pattern) satisfies ``eta**3 == identity`` and induces the
+differential ``d(B) = eta B - j^g B eta`` on a part of grade g.  On the
+stored components that is a shift plus a phase, landing in grade g+1:
+``d(B)[i] = b[(i+1) mod 3] - j^g * b[i]``.  It is nilpotent of order three:
+d(d(d(B))) == 0 for every B.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalar import ONE, Scalar, ZERO, jpow, scalar
 
-Cell = tuple[int, int]
+Part = tuple[Scalar, Scalar, Scalar]
 
-_PATTERNS: dict[int, tuple[Cell, ...]] = {
-    0: ((0, 0), (1, 1), (2, 2)),
-    1: ((0, 1), (1, 2), (2, 0)),
-    2: ((0, 2), (1, 0), (2, 1)),
-}
+#: The one stored all-zero part; zero parts are recognized by identity.
+_ZERO_PART: Part = (ZERO, ZERO, ZERO)
 
-_CELL_GRADE = {cell: g for g, cells in _PATTERNS.items() for cell in cells}
+
+def _part(entries: Part) -> Part:
+    """``entries`` as a stored part: the shared zero part when all vanish."""
+    a, b, c = entries
+    if a.is_zero() and b.is_zero() and c.is_zero():
+        return _ZERO_PART
+    return entries
 
 
 class GradedMatrix:
-    """An immutable 3x3 matrix of Scalars."""
+    """An immutable 3x3 matrix of Scalars, stored as three grade components."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("parts",)
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]) -> None:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("a graded matrix has exactly 3 rows of 3 entries")
-        self.rows: tuple[tuple[Scalar, ...], ...] = tuple(tuple(r) for r in rows)
+        self.parts: tuple[Part, Part, Part] = tuple(  # type: ignore[assignment]
+            _part(tuple(rows[i][(i + g) % 3] for i in range(3)))  # type: ignore[arg-type]
+            for g in range(3)
+        )
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]]) -> GradedMatrix:
@@ -50,76 +61,98 @@ class GradedMatrix:
         return GradedMatrix(conv)
 
     @staticmethod
+    def homogeneous(grade: int, entries: Sequence[Scalar]) -> GradedMatrix:
+        """The grade-``grade`` matrix with ``entries[i]`` at (i, i+grade mod 3)."""
+        parts = [_ZERO_PART] * 3
+        parts[grade % 3] = _part(tuple(entries))  # type: ignore[arg-type]
+        return _make(tuple(parts))  # type: ignore[arg-type]
+
+    @staticmethod
     def zero() -> GradedMatrix:
-        return GradedMatrix([[ZERO] * 3 for _ in range(3)])
+        return _make((_ZERO_PART, _ZERO_PART, _ZERO_PART))
 
     @staticmethod
     def identity() -> GradedMatrix:
-        return GradedMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        return _make(((ONE, ONE, ONE), _ZERO_PART, _ZERO_PART))
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        rows = [[ZERO] * 3 for _ in range(3)]
+        for g, part in enumerate(self.parts):
+            for i in range(3):
+                rows[i][(i + g) % 3] = part[i]
+        return tuple(tuple(r) for r in rows)
 
     def __add__(self, other: GradedMatrix) -> GradedMatrix:
-        return GradedMatrix(
-            [
-                [self.rows[i][k] + other.rows[i][k] for k in range(3)]
-                for i in range(3)
-            ]
-        )
+        out = []
+        for a, b in zip(self.parts, other.parts):
+            if a is _ZERO_PART:
+                out.append(b)
+            elif b is _ZERO_PART:
+                out.append(a)
+            else:
+                out.append(_part((a[0] + b[0], a[1] + b[1], a[2] + b[2])))
+        return _make(tuple(out))  # type: ignore[arg-type]
 
     def __sub__(self, other: GradedMatrix) -> GradedMatrix:
-        return self + other.scale(-ONE)
+        return self + -other
 
     def __neg__(self) -> GradedMatrix:
-        return self.scale(-ONE)
+        return _make(tuple(  # type: ignore[arg-type]
+            p if p is _ZERO_PART else (-p[0], -p[1], -p[2]) for p in self.parts
+        ))
 
     def scale(self, s: Scalar) -> GradedMatrix:
-        return GradedMatrix([[e * s for e in row] for row in self.rows])
+        if s.is_zero():
+            return GradedMatrix.zero()
+        # A nonzero scalar keeps every nonzero part nonzero.
+        return _make(tuple(  # type: ignore[arg-type]
+            p if p is _ZERO_PART else (p[0] * s, p[1] * s, p[2] * s)
+            for p in self.parts
+        ))
 
     def __mul__(self, other: GradedMatrix) -> GradedMatrix:
-        rows = []
-        for i in range(3):
-            row = []
-            for k in range(3):
-                acc = ZERO
-                for l in range(3):
-                    acc = acc + self.rows[i][l] * other.rows[l][k]
-                row.append(acc)
-            rows.append(row)
-        return GradedMatrix(rows)
+        acc: list[Part | None] = [None, None, None]
+        for ga, a in enumerate(self.parts):
+            if a is _ZERO_PART:
+                continue
+            for gb, b in enumerate(other.parts):
+                if b is _ZERO_PART:
+                    continue
+                g = (ga + gb) % 3
+                term = (a[0] * b[ga], a[1] * b[(1 + ga) % 3], a[2] * b[(2 + ga) % 3])
+                c = acc[g]
+                acc[g] = term if c is None else (
+                    c[0] + term[0], c[1] + term[1], c[2] + term[2])
+        return _make(tuple(  # type: ignore[arg-type]
+            _ZERO_PART if c is None else _part(c) for c in acc
+        ))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return all(p is _ZERO_PART for p in self.parts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.parts)
 
     def grade_of(self) -> int | str:
         """Grade by support pattern; the zero matrix reports grade 0."""
-        support = {
-            (i, k)
-            for i in range(3)
-            for k in range(3)
-            if not self.rows[i][k].is_zero()
-        }
-        if not support:
+        grades = [g for g, p in enumerate(self.parts) if p is not _ZERO_PART]
+        if not grades:
             return 0
-        grades = {_CELL_GRADE[cell] for cell in support}
-        return grades.pop() if len(grades) == 1 else "mixed"
+        return grades[0] if len(grades) == 1 else "mixed"
 
     def graded_parts(self) -> dict[int, GradedMatrix]:
         """The unique decomposition into (up to three) homogeneous parts."""
-        parts: dict[int, GradedMatrix] = {}
-        for g, cells in _PATTERNS.items():
-            if any(not self.rows[i][k].is_zero() for i, k in cells):
-                rows = [[ZERO] * 3 for _ in range(3)]
-                for i, k in cells:
-                    rows[i][k] = self.rows[i][k]
-                parts[g] = GradedMatrix(rows)
-        return parts
+        return {
+            g: GradedMatrix.homogeneous(g, p)
+            for g, p in enumerate(self.parts)
+            if p is not _ZERO_PART
+        }
 
     def __str__(self) -> str:
         from .render import render_matrix
@@ -130,7 +163,18 @@ class GradedMatrix:
         return f"GradedMatrix({self.rows!r})"
 
 
-ETA = GradedMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+_new = object.__new__
+_set_parts = GradedMatrix.parts.__set__  # type: ignore[attr-defined]
+
+
+def _make(parts: tuple[Part, Part, Part]) -> GradedMatrix:
+    """A GradedMatrix from parts already in stored form."""
+    m = _new(GradedMatrix)
+    _set_parts(m, parts)
+    return m
+
+
+ETA = GradedMatrix.homogeneous(1, (ONE, ONE, ONE))
 
 
 def grade_of(m: GradedMatrix) -> int | str:
@@ -146,8 +190,15 @@ def graded_commutator(b: GradedMatrix, c: GradedMatrix) -> GradedMatrix:
 
 
 def eta_differential(b: GradedMatrix) -> GradedMatrix:
-    """d(B) = eta B - j^g B eta, extended linearly over graded parts."""
-    out = GradedMatrix.zero()
-    for g, part in b.graded_parts().items():
-        out = out + (ETA * part - (part * ETA).scale(jpow(g)))
-    return out
+    """d(B) = eta B - j^g B eta, extended linearly over graded parts.
+
+    Part g of B maps to part g+1 of d(B): ``b[(i+1) mod 3] - j^g * b[i]``.
+    """
+    out = [_ZERO_PART] * 3
+    for g, p in enumerate(b.parts):
+        if p is _ZERO_PART:
+            continue
+        phase = jpow(g)
+        out[(g + 1) % 3] = _part(
+            (p[1] - phase * p[0], p[2] - phase * p[1], p[0] - phase * p[2]))
+    return _make(tuple(out))  # type: ignore[arg-type]

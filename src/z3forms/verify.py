@@ -205,12 +205,7 @@ def _rand_matrix(rng: random.Random) -> GradedMatrix:
 
 
 def _rand_homogeneous_matrix(rng: random.Random, grade: int) -> GradedMatrix:
-    from .matrices import _PATTERNS
-
-    rows = [[ZERO for _ in range(3)] for _ in range(3)]
-    for (r, c) in _PATTERNS[grade]:
-        rows[r][c] = _rand_scalar(rng, 3)
-    return GradedMatrix.from_rows(rows)
+    return GradedMatrix.homogeneous(grade, [_rand_scalar(rng, 3) for _ in range(3)])
 
 
 # -- suites ------------------------------------------------------------------------

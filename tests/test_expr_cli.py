@@ -294,6 +294,31 @@ def test_cli_env_dimension(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_parser_is_reused_per_default_dimension(monkeypatch, capsys):
+    from z3forms.cli import _build_parser
+
+    assert _build_parser(2) is _build_parser(2)
+    assert _build_parser(2) is not _build_parser(3)
+    for dim, code in (("2", 2), ("3", 0), ("2", 2)):
+        monkeypatch.setenv("Z3FORMS_DIM", dim)
+        assert main(["normalize", "-e", "dx[3]"]) == code
+        with pytest.raises(SystemExit) as info:
+            main(["normalize", "--help"])
+        assert info.value.code == 0
+        assert f"(default {dim})" in capsys.readouterr().out
+    # A usage error leaves the cached parser fit for the next call.
+    with pytest.raises(SystemExit) as info:
+        main(["normalize"])
+    assert info.value.code == 2
+    assert "required" in capsys.readouterr().err
+    assert main(["normalize", "-e", "dx[2] dx[1]"]) == 0
+    assert capsys.readouterr().out == "dx[2] dx[1]\n"
+    # The environment is still read and checked on every call.
+    monkeypatch.setenv("Z3FORMS_DIM", "0")
+    with pytest.raises(SystemExit, match="invalid Z3FORMS_DIM"):
+        main(["normalize", "-e", "dx[1]"])
+
+
 def test_verify_reports_deterministic():
     for suite in ("scalar", "forms"):
         a = run_verify(suite, seed=11, cases=4)
