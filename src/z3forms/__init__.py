@@ -35,7 +35,7 @@ from .action import (
     scalar_product,
     variational_derivative,
 )
-from .coeffs import CoeffExpr, JetSymbol, conjugate_coeff, derive, jet, multiply_coeff
+from .coeffs import CoeffExpr, JetSymbol, derive, jet
 from .expr import (
     EvalContext,
     EvalError,
@@ -57,7 +57,6 @@ from .forms import (
     dx,
     form_from_components,
     grade_and_degree,
-    multiply_forms,
     normalize_form,
     redistribute_t3,
 )
@@ -75,7 +74,7 @@ from .gauge import (
     matter_field,
     pure_gauge_connection,
 )
-from .grassmann import GrassElement, bar_theta, enumerate_basis, grade, multiply, normalize_word, theta, theta_only_count
+from .grassmann import GrassElement, bar_theta, enumerate_basis, grade, normalize_word, theta, theta_only_count
 from .matrices import ETA, GradedMatrix, eta_differential, grade_of, graded_commutator
 from .scalar import J, J2, ONE, Scalar, ZERO, embed_complex, jpow, scalar
 from .verify import VerifyFailure, VerifyReport, run_verify
@@ -99,10 +98,8 @@ __all__ = [
     "variational_derivative",
     "CoeffExpr",
     "JetSymbol",
-    "conjugate_coeff",
     "derive",
     "jet",
-    "multiply_coeff",
     "EvalContext",
     "EvalError",
     "ParseError",
@@ -121,7 +118,6 @@ __all__ = [
     "dx",
     "form_from_components",
     "grade_and_degree",
-    "multiply_forms",
     "normalize_form",
     "redistribute_t3",
     "Connection",
@@ -140,7 +136,6 @@ __all__ = [
     "bar_theta",
     "enumerate_basis",
     "grade",
-    "multiply",
     "normalize_word",
     "theta",
     "theta_only_count",

@@ -117,6 +117,10 @@ def _is_bare(sym: JetSymbol, name: str) -> bool:
     return sym.name == name and not sym.derivs and sym.index is None
 
 
+#: Base names of the invertible pairs.
+_PAIR_NAMES = frozenset(n for pair in INVERSE_PAIRS for n in pair)
+
+
 def _cancel_adjacent(letters: list[JetSymbol]) -> list[JetSymbol]:
     """Remove adjacent U*Uinv / Uinv*U pairs (matching bar flags) to a fixed point."""
     changed = True
@@ -138,19 +142,36 @@ def _cancel_adjacent(letters: list[JetSymbol]) -> list[JetSymbol]:
 
 
 def _cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
-    """Commutative-mode cancellation: pair off bare U with bare Uinv countwise."""
+    """Commutative-mode cancellation: pair off bare U with bare Uinv countwise.
+
+    Bare letters with the same name and bar flag are equal, and the caller
+    sorts the result, so it does not matter which copies are dropped.
+    """
+    counts: dict[tuple[str, bool], int] = {}
+    for s in letters:
+        if s.name in _PAIR_NAMES and not s.derivs and s.index is None:
+            key = (s.name, s.barred)
+            counts[key] = counts.get(key, 0) + 1
+    drop: dict[tuple[str, bool], int] = {}
     for left, right in INVERSE_PAIRS:
         for barred in (False, True):
-            lefts = [s for s in letters if _is_bare(s, left) and s.barred == barred]
-            rights = [s for s in letters if _is_bare(s, right) and s.barred == barred]
-            pairs = min(len(lefts), len(rights))
-            for victim in (lefts[:pairs] + rights[:pairs]):
-                letters.remove(victim)
-    return letters
+            pairs = min(counts.get((left, barred), 0), counts.get((right, barred), 0))
+            if pairs:
+                drop[(left, barred)] = drop[(right, barred)] = pairs
+    if not drop:
+        return letters
+    out = []
+    for s in letters:
+        key = (s.name, s.barred)
+        if drop.get(key) and not s.derivs and s.index is None:
+            drop[key] -= 1
+        else:
+            out.append(s)
+    return out
 
 
 #: Base names whose letters normalization may cancel or move.
-_SPECIAL_NAMES = frozenset(n for pair in INVERSE_PAIRS for n in pair) | CONSTANT_NAMES
+_SPECIAL_NAMES = _PAIR_NAMES | CONSTANT_NAMES
 
 
 def normalize_word(word: Iterable[JetSymbol], commutative: bool) -> Word:
@@ -334,13 +355,5 @@ def _make(terms: dict[Word, Scalar], commutative: bool) -> CoeffExpr:
     return out
 
 
-def multiply_coeff(x: CoeffExpr, y: CoeffExpr) -> CoeffExpr:
-    return x * y
-
-
 def derive(x: CoeffExpr, m: int) -> CoeffExpr:
     return x.derive(m)
-
-
-def conjugate_coeff(x: CoeffExpr, real: frozenset[str] | set[str] = frozenset()) -> CoeffExpr:
-    return x.conjugate(real)

@@ -30,31 +30,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .coeffs import CoeffExpr, JetSymbol, Word as CoeffWord, normalize_word
+from .coeffs import CoeffExpr, JetSymbol, _make, normalize_word
 from .scalar import J, ONE, Scalar, ZERO, jpow
 
 # A form-word letter is ("c", JetSymbol) | ("dx", int) | ("ddx", int).
 Letter = tuple[str, object]
 FormWord = tuple[Letter, ...]
 
-_GRADE = {"c": 0, "dx": 1, "ddx": 2}
+# A letter's grade is its degree mod 3.
 _DEGREE = {"c": 0, "dx": 1, "ddx": 2}
 
 
-def letter_grade(letter: Letter) -> int:
-    return _GRADE[letter[0]]
-
-
-def letter_degree(letter: Letter) -> int:
-    return _DEGREE[letter[0]]
-
-
 def word_degree(word: FormWord) -> int:
-    return sum(letter_degree(l) for l in word)
+    degree = 0
+    for kind, _ in word:
+        degree += _DEGREE[kind]
+    return degree
 
 
 def word_grade(word: FormWord) -> int:
-    return sum(letter_grade(l) for l in word) % 3
+    return word_degree(word) % 3
 
 
 def _letter_key(letter: Letter) -> tuple:
@@ -159,15 +154,20 @@ class Form:
             self._add_term(coeff, word)
 
     def _add_term(self, coeff: Scalar, word: FormWord) -> None:
+        """Add a raw word: check its indices, then normalize it."""
         for index in (l[1] for l in word if l[0] in ("dx", "ddx")):
             if not 1 <= index <= self.n:  # type: ignore[operator]
                 raise ValueError(f"generator index {index} out of range 1..{self.n}")
         for phase, canon in normalize_form_word(word, self.commutative):
-            val = self.terms.get(canon, ZERO) + coeff * phase
-            if val.is_zero():
-                self.terms.pop(canon, None)
-            else:
-                self.terms[canon] = val
+            self._accumulate(coeff * phase, canon)
+
+    def _accumulate(self, coeff: Scalar, canon: FormWord) -> None:
+        """Add a canonical word, dropping it when its coefficient cancels."""
+        val = self.terms.get(canon, ZERO) + coeff
+        if val.is_zero():
+            self.terms.pop(canon, None)
+        else:
+            self.terms[canon] = val
 
     # -- construction helpers ---------------------------------------------------
 
@@ -188,11 +188,7 @@ class Form:
         out = Form(self.n, (), self.commutative)
         out.terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            val = out.terms.get(word, ZERO) + coeff
-            if val.is_zero():
-                out.terms.pop(word, None)
-            else:
-                out.terms[word] = val
+            out._accumulate(coeff, word)
         return out
 
     def __sub__(self, other: Form) -> Form:
@@ -208,11 +204,17 @@ class Form:
         return out
 
     def __mul__(self, other: Form) -> Form:
+        # Both operands hold checked indices for the same n, so the
+        # products skip the index check; degrees above 3 are never built.
         self._require_compatible(other)
         out = Form(self.n, (), self.commutative)
+        right = [(w2, c2, word_degree(w2)) for w2, c2 in other.terms.items()]
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                out._add_term(c1 * c2, w1 + w2)
+            room = 3 - word_degree(w1)
+            for w2, c2, degree in right:
+                if degree <= room:
+                    for phase, canon in normalize_form_word(w1 + w2, self.commutative):
+                        out._accumulate(c1 * c2 * phase, canon)
         return out
 
     # -- predicates ----------------------------------------------------------
@@ -247,34 +249,59 @@ class Form:
     # -- differential ------------------------------------------------------------
 
     def d(self) -> Form:
-        """The graded differential (block-atomic on coefficient runs)."""
+        """The graded differential (block-atomic on coefficient runs).
+
+        Every term of ``d`` has one degree more than its word: words of
+        degree 3 contribute nothing, and below that a new term is already
+        canonical unless it reaches degree 3.  A derived run is normalized
+        by ``derive`` and sits between a generator (or the start) and
+        ``dx[q]``, so every run stays maximal; ``dx -> ddx`` changes no run.
+        """
         out = Form(self.n, (), self.commutative)
+        commutative = self.commutative
+        # Per run: [(coefficient, derived run + dx[q])] over q, computed once.
+        derived: dict[FormWord, list[tuple[Scalar, FormWord]]] = {}
         for word, coeff in self.terms.items():
-            factors = _split_factors(word)
+            degree = word_degree(word)
+            if degree == 3:
+                continue
+            size = len(word)
             prefix_grade = 0
-            for pos, factor in enumerate(factors):
-                phase = jpow(prefix_grade)
-                before = _join_factors(factors[:pos])
-                after = _join_factors(factors[pos + 1 :])
-                if factor[0] == "run":
-                    run_expr = CoeffExpr(
-                        [(ONE, factor[1])], self.commutative  # type: ignore[list-item]
-                    )
-                    for q in range(1, self.n + 1):
-                        derived = run_expr.derive(q)
-                        for cw, cc in derived.terms.items():
-                            repl = tuple(("c", s) for s in cw) + (("dx", q),)
-                            out._add_term(coeff * phase * cc, before + repl + after)
-                    # a coefficient run has grade 0: prefix grade unchanged
+            pos = 0
+            while pos < size:
+                kind, payload = word[pos]
+                end = pos + 1
+                if kind == "c":
+                    while end < size and word[end][0] == "c":
+                        end += 1
+                    run = word[pos:end]
+                    terms = derived.get(run)
+                    if terms is None:
+                        terms = derived[run] = self._run_derivatives(run)
                 else:
-                    letter = factor[1]
-                    if letter[0] == "dx":  # type: ignore[index]
-                        out._add_term(
-                            coeff * phase,
-                            before + (("ddx", letter[1]),) + after,  # type: ignore[index]
-                        )
                     # d(ddx) == 0: no term
-                    prefix_grade = (prefix_grade + letter_grade(letter)) % 3  # type: ignore[arg-type]
+                    terms = [(ONE, (("ddx", payload),))] if kind == "dx" else []
+                if terms:
+                    before, after = word[:pos], word[end:]
+                    c = coeff * jpow(prefix_grade)
+                    for cc, repl in terms:
+                        new = before + repl + after
+                        if degree < 2:
+                            out._accumulate(c * cc, new)
+                        else:
+                            for phase, canon in normalize_form_word(new, commutative):
+                                out._accumulate(c * cc * phase, canon)
+                prefix_grade += _DEGREE[kind]  # a coefficient run has grade 0
+                pos = end
+        return out
+
+    def _run_derivatives(self, run: FormWord) -> list[tuple[Scalar, FormWord]]:
+        """[(coefficient, derive(run, q) word + dx[q])] for q = 1..n, in order."""
+        expr = _make({tuple(l[1] for l in run): ONE}, self.commutative)  # type: ignore[misc]
+        out: list[tuple[Scalar, FormWord]] = []
+        for q in range(1, self.n + 1):
+            for cw, cc in expr.derive(q).terms.items():
+                out.append((cc, tuple(("c", s) for s in cw) + (("dx", q),)))
         return out
 
     # -- rendering -----------------------------------------------------------
@@ -286,35 +313,6 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form(n={self.n}, terms={len(self.terms)}, commutative={self.commutative})"
-
-
-Factor = tuple[str, object]  # ("run", CoeffWord) | ("gen", Letter)
-
-
-def _split_factors(word: FormWord) -> list[Factor]:
-    factors: list[Factor] = []
-    run: list[JetSymbol] = []
-    for letter in word:
-        if letter[0] == "c":
-            run.append(letter[1])  # type: ignore[arg-type]
-        else:
-            if run:
-                factors.append(("run", tuple(run)))
-                run = []
-            factors.append(("gen", letter))
-    if run:
-        factors.append(("run", tuple(run)))
-    return factors
-
-
-def _join_factors(factors: Iterable[Factor]) -> FormWord:
-    out: list[Letter] = []
-    for kind, payload in factors:
-        if kind == "run":
-            out.extend(("c", s) for s in payload)  # type: ignore[union-attr]
-        else:
-            out.append(payload)  # type: ignore[arg-type]
-    return tuple(out)
 
 
 # -- public constructors -------------------------------------------------------
@@ -346,10 +344,6 @@ def coordinate(i: int, n: int, commutative: bool = False) -> Form:
 
 def differential(x: Form) -> Form:
     return x.d()
-
-
-def multiply_forms(x: Form, y: Form) -> Form:
-    return x * y
 
 
 def normalize_form(word: FormWord, n: int, commutative: bool = False) -> Form:
@@ -394,7 +388,7 @@ def components(x: Form) -> ComponentTable:
     for word, coeff in x.terms.items():
         gens = [l for l in word if l[0] != "c"]
         run = tuple(l[1] for l in word if l[0] == "c")
-        expr = CoeffExpr([(coeff, run)], x.commutative)  # type: ignore[list-item]
+        expr = _make({run: coeff}, x.commutative)  # the run is canonical already
         kinds = tuple(g[0] for g in gens)
         if kinds == ("dx", "dx", "dx"):
             idx3 = (gens[0][1], gens[1][1], gens[2][1])

@@ -170,10 +170,6 @@ def normalize_word(N: int, letters: Iterable[GrassLetter]) -> GrassElement:
     return GrassElement.word(N, letters)
 
 
-def multiply(x: GrassElement, y: GrassElement) -> GrassElement:
-    return x * y
-
-
 def grade(x: GrassElement) -> int | str:
     return x.grade()
 

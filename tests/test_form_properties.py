@@ -1,0 +1,168 @@
+"""Property tests for forms, ``d`` and the product.
+
+``Form.d`` and ``Form.__mul__`` build their terms in canonical form and
+never build a term above degree 3.  These tests check them against a
+reference written here, the generic path: every raw term, degree 4 or
+not, goes through ``Form(n, items, mode)``, which normalizes it.  The
+comparison includes the order of the terms, so the canonical text is the
+same on both paths.  They also check that every stored word is a fixed
+point of normalization, that ``d`` of a degree-3 form and ``d^3`` vanish,
+and the graded Leibniz rule.  Example generation is derandomized so that
+every run checks the same cases.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from z3forms.coeffs import CoeffExpr, JetSymbol  # noqa: E402
+from z3forms.forms import Form, normalize_form_word  # noqa: E402
+from z3forms.scalar import ONE, Scalar, jpow  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+SCALARS = [Scalar(a, b) for a in (-2, -1, 0, 1, 3) for b in (-1, 0, 2)
+           if (a, b) != (0, 0)]
+
+#: Generator kinds of a word, by degree.
+SHAPES = {
+    0: [()],
+    1: [("dx",)],
+    2: [("dx", "dx"), ("ddx",)],
+    3: [("dx", "dx", "dx"), ("ddx", "dx"), ("dx", "ddx")],
+}
+
+
+def symbols(n: int):
+    fixed = [JetSymbol("U"), JetSymbol("Uinv"), JetSymbol("U", barred=True),
+             JetSymbol("Uinv", barred=True), JetSymbol("mu"), JetSymbol("f"),
+             JetSymbol("f", barred=True), JetSymbol("g", 1)]
+    indexed = [JetSymbol("x", i) for i in range(1, n + 1)]
+    indexed += [JetSymbol("f", derivs=(i,)) for i in range(1, n + 1)]
+    return st.sampled_from(fixed + indexed)
+
+
+def runs(n: int):
+    return st.lists(symbols(n), max_size=2).map(lambda s: [("c", x) for x in s])
+
+
+@st.composite
+def words(draw, n: int, degree: int, tailed: bool = False):
+    """A raw word of the given degree; ``tailed`` ends it in a generator."""
+    word: list = []
+    for kind in draw(st.sampled_from(SHAPES[degree])):
+        word += draw(runs(n))
+        word.append((kind, draw(st.integers(1, n))))
+    if not tailed:
+        word += draw(runs(n))
+    return tuple(word)
+
+
+@st.composite
+def forms(draw, n: int, commutative: bool, degrees=(0, 1, 2, 3), tailed=False):
+    """A form whose raw words all have one degree drawn from ``degrees``."""
+    degree = draw(st.sampled_from(degrees))
+    items = draw(st.lists(st.tuples(st.sampled_from(SCALARS), words(n, degree, tailed)),
+                          min_size=1, max_size=3))
+    return Form(n, items, commutative)
+
+
+n_and_mode = st.tuples(st.integers(1, 4), st.booleans())
+
+
+# -- reference: the generic path through Form(n, raw terms, mode) ----------------
+
+
+def factors(word: tuple) -> list[tuple]:
+    """Maximal coefficient runs and single generators, in order."""
+    out: list[tuple] = []
+    for is_run, group in itertools.groupby(word, key=lambda l: l[0] == "c"):
+        group = tuple(group)
+        out += [group] if is_run else [(g,) for g in group]
+    return out
+
+
+def ref_d(x: Form) -> Form:
+    items = []
+    for word, coeff in x.terms.items():
+        parts = factors(word)
+        grade = 0
+        for pos, part in enumerate(parts):
+            before, after = sum(parts[:pos], ()), sum(parts[pos + 1:], ())
+            phase = coeff * jpow(grade)
+            kind, payload = part[0]
+            if kind == "c":
+                run = CoeffExpr([(ONE, [l[1] for l in part])], x.commutative)
+                for q in range(1, x.n + 1):
+                    for cw, cc in run.derive(q).terms.items():
+                        repl = tuple(("c", s) for s in cw) + (("dx", q),)
+                        items.append((phase * cc, before + repl + after))
+            else:
+                if kind == "dx":
+                    items.append((phase, before + (("ddx", payload),) + after))
+                grade += 1 if kind == "dx" else 2
+    return Form(x.n, items, x.commutative)
+
+
+def ref_mul(x: Form, y: Form) -> Form:
+    return Form(x.n, [(c1 * c2, w1 + w2) for w1, c1 in x.terms.items()
+                      for w2, c2 in y.terms.items()], x.commutative)
+
+
+def same_terms_in_order(got: Form, want: Form) -> bool:
+    return list(got.terms.items()) == list(want.terms.items())
+
+
+def assert_canonical(x: Form) -> None:
+    for word, coeff in x.terms.items():
+        assert not coeff.is_zero()
+        assert normalize_form_word(word, x.commutative) == [(ONE, word)]
+
+
+# -- properties ---------------------------------------------------------------
+
+
+@PROPERTY
+@given(n_and_mode.flatmap(lambda nm: forms(*nm)))
+def test_d_matches_generic_path(x):
+    got = x.d()
+    assert same_terms_in_order(got, ref_d(x))
+    assert_canonical(got)
+
+
+@PROPERTY
+@given(n_and_mode.flatmap(lambda nm: st.tuples(forms(*nm), forms(*nm))))
+def test_product_matches_generic_path(pair):
+    x, y = pair
+    got = x * y
+    assert same_terms_in_order(got, ref_mul(x, y))
+    assert_canonical(got)
+
+
+@PROPERTY
+@given(n_and_mode.flatmap(lambda nm: forms(*nm, degrees=(3,))))
+def test_d_of_degree_three_vanishes(x):
+    assert x.d().is_zero()
+
+
+@PROPERTY
+@given(n_and_mode.flatmap(lambda nm: forms(*nm)))
+def test_d_cubed_vanishes(x):
+    assert x.d().d().d().is_zero()
+
+
+@PROPERTY
+@given(n_and_mode.flatmap(lambda nm: st.tuples(
+    forms(*nm, degrees=(1, 2, 3), tailed=True), forms(*nm))))
+def test_graded_leibniz_generator_tailed(pair):
+    w, phi = pair
+    grade = w.grade_and_degree()[0]
+    lhs = (w * phi).d()
+    rhs = w.d() * phi + (w * phi.d()).scale(jpow(grade))
+    assert lhs == rhs
