@@ -7,6 +7,10 @@ root of unity:
 * ``grassmann`` — the ternary analogue of Grassmann algebra (cubes vanish);
 * ``matrices`` — a 3x3 graded matrix model whose differential is a graded
   commutator with a cyclic shift matrix;
+* ``lincomb`` — the shared core of the four word-combination values
+  (coefficients, forms, Grassmann elements, conjugate-side forms): a
+  frozen dict from canonical word to nonzero scalar, with the linear
+  operations, equality and hashing;
 * ``coeffs`` — free (or commutative) coefficient algebra of formal jets,
   with a built-in invertible pair U / Uinv and coordinate symbols;
 * ``forms`` — differential forms with first- and second-order generators
@@ -74,7 +78,7 @@ from .gauge import (
     matter_field,
     pure_gauge_connection,
 )
-from .grassmann import GrassElement, bar_theta, enumerate_basis, grade, normalize_word, theta, theta_only_count
+from .grassmann import GrassElement, bar_theta, enumerate_basis, theta, theta_only_count
 from .matrices import ETA, GradedMatrix, eta_differential, grade_of, graded_commutator
 from .scalar import J, J2, ONE, Scalar, ZERO, embed_complex, jpow, scalar
 from .verify import VerifyFailure, VerifyReport, run_verify
@@ -135,8 +139,6 @@ __all__ = [
     "GrassElement",
     "bar_theta",
     "enumerate_basis",
-    "grade",
-    "normalize_word",
     "theta",
     "theta_only_count",
     "ETA",

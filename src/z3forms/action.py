@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .coeffs import CoeffExpr, JetSymbol, Word
 from .forms import ComponentTable, Form, components
 from .gauge import Connection, curvature, field_strength
+from .lincomb import LinComb, accumulate
 from .scalar import J, ONE, Scalar, ZERO, scalar
 
 MU = JetSymbol("mu")
@@ -52,6 +53,12 @@ _MIRROR = {"dx": "delx", "ddx": "del2x"}
 _MIRROR_BACK = {v: k for k, v in _MIRROR.items()}
 
 
+def _mirrored(word: tuple, real: frozenset[str], mirror: dict[str, str]) -> tuple:
+    """Reverse a word, conjugate its symbols and rename its generators."""
+    return tuple(("c", payload.conjugated(real)) if kind == "c" else (mirror[kind], payload)
+                 for kind, payload in reversed(word))
+
+
 def _normalize_conj_word(word: tuple, coeff: Scalar) -> tuple[Scalar, tuple]:
     """Order mixed generator pairs delx-first: del2x[k] delx[i] -> j delx[i] del2x[k]."""
     letters = list(word)
@@ -67,14 +74,15 @@ def _normalize_conj_word(word: tuple, coeff: Scalar) -> tuple[Scalar, tuple]:
     return coeff, tuple(letters)
 
 
-class ConjForm:
+class ConjForm(LinComb):
     """The order-reversed, conjugated image of a degree-3 form.
 
     Words run over delx[i] / del2x[k] generators with conjugated
-    coefficient symbols interleaved in reversed order.
+    coefficient symbols interleaved in reversed order.  ``real`` is part
+    of the value: it decides how ``conjugate_back`` reads the symbols.
     """
 
-    __slots__ = ("terms", "n", "commutative", "real")
+    __slots__ = ("n", "commutative", "real")
 
     def __init__(
         self,
@@ -85,77 +93,23 @@ class ConjForm:
     ) -> None:
         self.n = n
         self.commutative = commutative
-        self.real = real
-        self.terms: dict[tuple, Scalar] = {}
+        self.real = frozenset(real)
+        acc: dict[tuple, Scalar] = {}
         for coeff, word in terms:
             coeff, word = _normalize_conj_word(word, coeff)
-            val = self.terms.get(word, ZERO) + coeff
-            if val.is_zero():
-                self.terms.pop(word, None)
-            else:
-                self.terms[word] = val
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: ConjForm) -> ConjForm:
-        if not isinstance(other, ConjForm):
-            return NotImplemented
-        if (self.n, self.commutative) != (other.n, other.commutative):
-            raise ValueError("conjugate forms of different dimension or mode")
-        items = [(c, w) for w, c in self.terms.items()]
-        items += [(c, w) for w, c in other.terms.items()]
-        return ConjForm(self.n, items, self.commutative, self.real | other.real)
-
-    def __sub__(self, other: ConjForm) -> ConjForm:
-        if not isinstance(other, ConjForm):
-            return NotImplemented
-        if (self.n, self.commutative) != (other.n, other.commutative):
-            raise ValueError("conjugate forms of different dimension or mode")
-        items = [(c, w) for w, c in self.terms.items()]
-        items += [(-c, w) for w, c in other.terms.items()]
-        return ConjForm(self.n, items, self.commutative, self.real | other.real)
-
-    def scale(self, s: Scalar) -> ConjForm:
-        return ConjForm(
-            self.n,
-            [(c * s, w) for w, c in self.terms.items()],
-            self.commutative,
-            self.real,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConjForm):
-            return NotImplemented
-        return (self.n, self.commutative, self.terms) == (
-            other.n,
-            other.commutative,
-            other.terms,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.commutative, frozenset(self.terms.items())))
+            accumulate(acc, word, coeff)
+        self.terms = acc
 
     def conjugate_back(self) -> Form:
         """Invert the reversal/conjugation, returning the original form."""
-        out = Form.zero(self.n, self.commutative)
-        for word, coeff in self.terms.items():
-            letters = []
-            for kind, payload in reversed(word):
-                if kind == "c":
-                    letters.append(("c", payload.conjugated(self.real)))
-                else:
-                    letters.append((_MIRROR_BACK[kind], payload))
-            out._add_term(coeff.conjugate(), tuple(letters))
-        return out
+        items = [(c.conjugate(), _mirrored(w, self.real, _MIRROR_BACK))
+                 for w, c in self.terms.items()]
+        return Form(self.n, items, self.commutative)
 
     def __str__(self) -> str:
         from .render import render_conj_form
 
         return render_conj_form(self)
-
-    def __repr__(self) -> str:
-        return f"ConjForm(n={self.n}, terms={len(self.terms)})"
 
 
 def conjugate_form(x: Form, real: frozenset[str] = frozenset()) -> ConjForm:
@@ -163,16 +117,8 @@ def conjugate_form(x: Form, real: frozenset[str] = frozenset()) -> ConjForm:
     _, degree = x.grade_and_degree()
     if x.terms and degree != 3:
         raise ValueError("only degree-3 forms have a conjugate-side image")
-    items: list[tuple[Scalar, tuple]] = []
-    for word, coeff in x.terms.items():
-        letters = []
-        for kind, payload in reversed(word):
-            if kind == "c":
-                letters.append(("c", payload.conjugated(real)))
-            else:
-                letters.append((_MIRROR[kind], payload))
-        items.append((coeff.conjugate(), tuple(letters)))
-    return ConjForm(x.n, items, x.commutative, frozenset(real))
+    items = [(c.conjugate(), _mirrored(w, real, _MIRROR)) for w, c in x.terms.items()]
+    return ConjForm(x.n, items, x.commutative, real)
 
 
 # -- the pairing -------------------------------------------------------------------

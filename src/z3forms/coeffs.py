@@ -18,9 +18,10 @@ coefficients from Q(j).  Supports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .scalar import ONE, Scalar, ZERO
+from .lincomb import LinComb, accumulate
+from .scalar import ONE, Scalar
 
 #: The one invertible pair of base names built into the algebra.
 INVERSE_PAIRS = (("U", "Uinv"),)
@@ -195,14 +196,13 @@ def normalize_word(word: Iterable[JetSymbol], commutative: bool) -> Word:
     return tuple(letters)
 
 
-class CoeffExpr:
+class CoeffExpr(LinComb):
     """A Scalar-linear combination of words of jet symbols.
 
-    Instances are immutable in use: every operation returns a new value.
     Both operands of a binary operation must share the same mode.
     """
 
-    __slots__ = ("terms", "commutative")
+    __slots__ = ("commutative",)
 
     def __init__(
         self,
@@ -217,12 +217,7 @@ class CoeffExpr:
         else:
             items = terms
         for coeff, word in items:
-            w = normalize_word(word, commutative)
-            val = acc.get(w, ZERO) + coeff
-            if val.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = val
+            accumulate(acc, normalize_word(word, commutative), coeff)
         self.terms = acc
 
     # -- construction helpers -------------------------------------------------
@@ -243,65 +238,8 @@ class CoeffExpr:
     def from_scalar(s: Scalar, commutative: bool = False) -> CoeffExpr:
         return CoeffExpr([(s, ())], commutative)
 
-    def _require_same_mode(self, other: CoeffExpr) -> None:
-        if self.commutative != other.commutative:
-            raise ValueError("mode mismatch: cannot combine commutative and "
-                             "noncommutative coefficient expressions")
-
-    # -- linear structure -------------------------------------------------------
-
-    # The operands' words are canonical already, so these results are
-    # built from their dicts without normalizing again.
-
-    def __add__(self, other: CoeffExpr) -> CoeffExpr:
-        self._require_same_mode(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            old = out.get(w)
-            if old is None:
-                out[w] = c
-                continue
-            val = old + c
-            if val.is_zero():
-                del out[w]
-            else:
-                out[w] = val
-        return _make(out, self.commutative)
-
-    def __sub__(self, other: CoeffExpr) -> CoeffExpr:
-        return self + -other
-
-    def __neg__(self) -> CoeffExpr:
-        return _make({w: -c for w, c in self.terms.items()}, self.commutative)
-
-    def scale(self, s: Scalar) -> CoeffExpr:
-        if s.is_zero():
-            return _make({}, self.commutative)
-        return _make({w: c * s for w, c in self.terms.items()}, self.commutative)
-
     def __mul__(self, other: CoeffExpr) -> CoeffExpr:
-        self._require_same_mode(other)
-        items: list[tuple[Scalar, Word]] = []
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                items.append((c1 * c2, w1 + w2))
-        return CoeffExpr(items, self.commutative)
-
-    # -- predicates and equality -------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoeffExpr):
-            return NotImplemented
-        return self.commutative == other.commutative and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.commutative, frozenset(self.terms.items())))
-
-    def __iter__(self) -> Iterator[tuple[Word, Scalar]]:
-        return iter(self.terms.items())
+        return CoeffExpr(self._products(other), self.commutative)
 
     # -- calculus -------------------------------------------------------------
 
@@ -342,17 +280,6 @@ class CoeffExpr:
         from .render import render_coeff
 
         return render_coeff(self)
-
-    def __repr__(self) -> str:
-        return f"CoeffExpr({self.terms!r}, commutative={self.commutative})"
-
-
-def _make(terms: dict[Word, Scalar], commutative: bool) -> CoeffExpr:
-    """A CoeffExpr from canonical words with nonzero coefficients."""
-    out = object.__new__(CoeffExpr)
-    out.terms = terms
-    out.commutative = commutative
-    return out
 
 
 def derive(x: CoeffExpr, m: int) -> CoeffExpr:

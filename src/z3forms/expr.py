@@ -410,10 +410,6 @@ def _to_form(v: Value, ctx: EvalContext) -> Form:
     return coefficient_form(_to_coeff(v, ctx), ctx.n)
 
 
-def _scale_conj(cf: ConjForm, s: Scalar) -> ConjForm:
-    return cf.scale(s)
-
-
 def _combine(op: str, a: Value, b: Value, ctx: EvalContext) -> Value:
     ka, kb = _kind(a), _kind(b)
     if op == "+":
@@ -426,37 +422,17 @@ def _combine(op: str, a: Value, b: Value, ctx: EvalContext) -> Value:
         if ka == kb:
             return a + b
         raise EvalError(f"cannot add a {ka} value and a {kb} value")
-    # product
+    # product; every value kind scales by a scalar the same way
+    if ka == kb == "scalar":
+        return a * b
     if ka == "scalar":
-        if kb == "scalar":
-            return a * b
-        if kb == "coeff":
-            return CoeffExpr.from_scalar(a, ctx.commutative) * b
-        if kb == "form":
-            return b.scale(a)
-        if kb == "grass":
-            return b.scale(a)
-        if kb == "matrix":
-            return b.scale(a)
-        if kb == "conj":
-            return _scale_conj(b, a)
+        return b.scale(a)
     if kb == "scalar":
-        if ka == "coeff":
-            return a * CoeffExpr.from_scalar(b, ctx.commutative)
-        if ka == "form":
-            return a * _to_form(b, ctx)
-        if ka in ("grass", "matrix"):
-            return a.scale(b)
-        if ka == "conj":
-            return _scale_conj(a, b)
-    if {ka, kb} <= {"scalar", "coeff"}:
-        return _to_coeff(a, ctx) * _to_coeff(b, ctx)
-    if {ka, kb} <= {"scalar", "coeff", "form"}:
+        return a.scale(b)
+    if ka == kb and ka != "conj":
+        return a * b
+    if {ka, kb} <= {"coeff", "form"}:
         return _to_form(a, ctx) * _to_form(b, ctx)
-    if ka == kb == "grass":
-        return a * b
-    if ka == kb == "matrix":
-        return a * b
     raise EvalError(f"cannot multiply a {ka} value and a {kb} value")
 
 

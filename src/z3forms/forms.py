@@ -28,10 +28,11 @@ contributes the phase j^p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .coeffs import CoeffExpr, JetSymbol, _make, normalize_word
-from .scalar import J, ONE, Scalar, ZERO, jpow
+from .coeffs import CoeffExpr, JetSymbol, normalize_word
+from .lincomb import LinComb, accumulate
+from .scalar import J, ONE, Scalar, jpow
 
 # A form-word letter is ("c", JetSymbol) | ("dx", int) | ("ddx", int).
 Letter = tuple[str, object]
@@ -50,19 +51,6 @@ def word_degree(word: FormWord) -> int:
 
 def word_grade(word: FormWord) -> int:
     return word_degree(word) % 3
-
-
-def _letter_key(letter: Letter) -> tuple:
-    kind, payload = letter
-    if kind == "c":
-        return (0, payload.sort_key())
-    return (1 if kind == "dx" else 2, payload)
-
-
-def word_key(word: FormWord) -> tuple:
-    """Deterministic ordering key for stored words (degree, grade, letters)."""
-    return (word_degree(word), word_grade(word), len(word),
-            tuple(_letter_key(l) for l in word))
 
 
 def canonical_cycle(triple: tuple, phase_step: int = 1) -> tuple[Scalar, tuple] | None:
@@ -134,10 +122,10 @@ def normalize_form_word(
     return [(ONE, _normalize_runs(word, commutative))]
 
 
-class Form:
+class Form(LinComb):
     """A linear combination of normalized interleaved form words."""
 
-    __slots__ = ("terms", "n", "commutative")
+    __slots__ = ("n", "commutative")
 
     def __init__(
         self,
@@ -149,90 +137,32 @@ class Form:
             raise ValueError("dimension must be a positive integer")
         self.n = n
         self.commutative = commutative
-        self.terms: dict[FormWord, Scalar] = {}
+        acc: dict[FormWord, Scalar] = {}
         for coeff, word in terms:
-            self._add_term(coeff, word)
-
-    def _add_term(self, coeff: Scalar, word: FormWord) -> None:
-        """Add a raw word: check its indices, then normalize it."""
-        for index in (l[1] for l in word if l[0] in ("dx", "ddx")):
-            if not 1 <= index <= self.n:  # type: ignore[operator]
-                raise ValueError(f"generator index {index} out of range 1..{self.n}")
-        for phase, canon in normalize_form_word(word, self.commutative):
-            self._accumulate(coeff * phase, canon)
-
-    def _accumulate(self, coeff: Scalar, canon: FormWord) -> None:
-        """Add a canonical word, dropping it when its coefficient cancels."""
-        val = self.terms.get(canon, ZERO) + coeff
-        if val.is_zero():
-            self.terms.pop(canon, None)
-        else:
-            self.terms[canon] = val
-
-    # -- construction helpers ---------------------------------------------------
+            for index in (l[1] for l in word if l[0] in ("dx", "ddx")):
+                if not 1 <= index <= n:  # type: ignore[operator]
+                    raise ValueError(f"generator index {index} out of range 1..{n}")
+            for phase, canon in normalize_form_word(word, commutative):
+                accumulate(acc, canon, coeff * phase)
+        self.terms = acc
 
     @staticmethod
     def zero(n: int, commutative: bool = False) -> Form:
         return Form(n, (), commutative)
 
-    def _require_compatible(self, other: Form) -> None:
-        if self.n != other.n:
-            raise ValueError("dimension mismatch between forms")
-        if self.commutative != other.commutative:
-            raise ValueError("mode mismatch between forms")
-
-    # -- module structure -------------------------------------------------------
-
-    def __add__(self, other: Form) -> Form:
-        self._require_compatible(other)
-        out = Form(self.n, (), self.commutative)
-        out.terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            out._accumulate(coeff, word)
-        return out
-
-    def __sub__(self, other: Form) -> Form:
-        return self + other.scale(-ONE)
-
-    def __neg__(self) -> Form:
-        return self.scale(-ONE)
-
-    def scale(self, s: Scalar) -> Form:
-        out = Form(self.n, (), self.commutative)
-        if not s.is_zero():
-            out.terms = {w: c * s for w, c in self.terms.items()}
-        return out
-
     def __mul__(self, other: Form) -> Form:
         # Both operands hold checked indices for the same n, so the
         # products skip the index check; degrees above 3 are never built.
-        self._require_compatible(other)
-        out = Form(self.n, (), self.commutative)
+        self._check(other)
+        acc: dict[FormWord, Scalar] = {}
         right = [(w2, c2, word_degree(w2)) for w2, c2 in other.terms.items()]
         for w1, c1 in self.terms.items():
             room = 3 - word_degree(w1)
             for w2, c2, degree in right:
                 if degree <= room:
                     for phase, canon in normalize_form_word(w1 + w2, self.commutative):
-                        out._accumulate(c1 * c2 * phase, canon)
-        return out
-
-    # -- predicates ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (self.n == other.n and self.commutative == other.commutative
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.commutative, frozenset(self.terms.items())))
-
-    def __iter__(self) -> Iterator[tuple[FormWord, Scalar]]:
-        return iter(self.terms.items())
+                        accumulate(acc, canon, c1 * c2 * phase)
+        return self._like(acc)
 
     # -- grading ----------------------------------------------------------------
 
@@ -257,7 +187,7 @@ class Form:
         by ``derive`` and sits between a generator (or the start) and
         ``dx[q]``, so every run stays maximal; ``dx -> ddx`` changes no run.
         """
-        out = Form(self.n, (), self.commutative)
+        acc: dict[FormWord, Scalar] = {}
         commutative = self.commutative
         # Per run: [(coefficient, derived run + dx[q])] over q, computed once.
         derived: dict[FormWord, list[tuple[Scalar, FormWord]]] = {}
@@ -287,17 +217,18 @@ class Form:
                     for cc, repl in terms:
                         new = before + repl + after
                         if degree < 2:
-                            out._accumulate(c * cc, new)
+                            accumulate(acc, new, c * cc)
                         else:
                             for phase, canon in normalize_form_word(new, commutative):
-                                out._accumulate(c * cc * phase, canon)
+                                accumulate(acc, canon, c * cc * phase)
                 prefix_grade += _DEGREE[kind]  # a coefficient run has grade 0
                 pos = end
-        return out
+        return self._like(acc)
 
     def _run_derivatives(self, run: FormWord) -> list[tuple[Scalar, FormWord]]:
         """[(coefficient, derive(run, q) word + dx[q])] for q = 1..n, in order."""
-        expr = _make({tuple(l[1] for l in run): ONE}, self.commutative)  # type: ignore[misc]
+        word = tuple(l[1] for l in run)  # canonical already
+        expr = CoeffExpr.zero(self.commutative)._like({word: ONE})
         out: list[tuple[Scalar, FormWord]] = []
         for q in range(1, self.n + 1):
             for cw, cc in expr.derive(q).terms.items():
@@ -310,9 +241,6 @@ class Form:
         from .render import render_form
 
         return render_form(self)
-
-    def __repr__(self) -> str:
-        return f"Form(n={self.n}, terms={len(self.terms)}, commutative={self.commutative})"
 
 
 # -- public constructors -------------------------------------------------------
@@ -383,34 +311,36 @@ def components(x: Form) -> ComponentTable:
     _, degree = x.grade_and_degree()
     if x.terms and degree != 3:
         raise ValueError("components are defined for forms of degree 3 only")
-    t3: dict[tuple[int, int, int], CoeffExpr] = {}
-    t21: dict[tuple[int, int], CoeffExpr] = {}
+    # Each generator word meets a given run once, so the runs of one
+    # index are distinct and canonical already.
+    t3: dict[tuple[int, int, int], dict] = {}
+    t21: dict[tuple[int, int], dict] = {}
     for word, coeff in x.terms.items():
         gens = [l for l in word if l[0] != "c"]
         run = tuple(l[1] for l in word if l[0] == "c")
-        expr = _make({run: coeff}, x.commutative)  # the run is canonical already
         kinds = tuple(g[0] for g in gens)
         if kinds == ("dx", "dx", "dx"):
-            idx3 = (gens[0][1], gens[1][1], gens[2][1])
-            t3[idx3] = t3.get(idx3, CoeffExpr.zero(x.commutative)) + expr
+            t3.setdefault((gens[0][1], gens[1][1], gens[2][1]), {})[run] = coeff
         elif kinds == ("ddx", "dx"):
-            idx2 = (gens[0][1], gens[1][1])
-            t21[idx2] = t21.get(idx2, CoeffExpr.zero(x.commutative)) + expr
+            t21.setdefault((gens[0][1], gens[1][1]), {})[run] = coeff
         else:  # pragma: no cover - normalization precludes this
             raise AssertionError(f"non-canonical degree-3 word {word}")
-    return ComponentTable(t3, t21, x.n, x.commutative)
+    zero = CoeffExpr.zero(x.commutative)
+    return ComponentTable({k: zero._like(v) for k, v in t3.items()},
+                          {k: zero._like(v) for k, v in t21.items()},
+                          x.n, x.commutative)
 
 
 def form_from_components(table: ComponentTable) -> Form:
     """Rebuild the degree-3 form represented by a component table."""
-    out = Form(table.n, (), table.commutative)
+    items = []
     for (i, k, m), expr in table.T3.items():
-        for w, c in expr.terms.items():
-            out._add_term(c, tuple(("c", s) for s in w) + (("dx", i), ("dx", k), ("dx", m)))
+        gens = (("dx", i), ("dx", k), ("dx", m))
+        items += [(c, tuple(("c", s) for s in w) + gens) for w, c in expr.terms.items()]
     for (i, k), expr in table.T21.items():
-        for w, c in expr.terms.items():
-            out._add_term(c, tuple(("c", s) for s in w) + (("ddx", i), ("dx", k)))
-    return out
+        gens = (("ddx", i), ("dx", k))
+        items += [(c, tuple(("c", s) for s in w) + gens) for w, c in expr.terms.items()]
+    return Form(table.n, items, table.commutative)
 
 
 def redistribute_t3(

@@ -18,10 +18,11 @@ Canonical words stored by ``GrassElement``:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .forms import canonical_cycle
-from .scalar import J2, ONE, Scalar, ZERO
+from .lincomb import LinComb, accumulate
+from .scalar import J2, ONE, Scalar
 
 # A letter is ("th" | "bth", index).
 GrassLetter = tuple[str, int]
@@ -68,10 +69,10 @@ def _normalize_letters(word: GrassWord, N: int) -> tuple[Scalar, GrassWord] | No
     return canonical_cycle(word, 1 if kinds == {"th"} else 2)
 
 
-class GrassElement:
+class GrassElement(LinComb):
     """Scalar-linear combination of canonical generator words."""
 
-    __slots__ = ("terms", "N")
+    __slots__ = ("N",)
 
     def __init__(
         self, N: int, terms: Iterable[tuple[Scalar, GrassWord]] = ()
@@ -79,17 +80,12 @@ class GrassElement:
         if N < 1:
             raise ValueError("generator count must be a positive integer")
         self.N = N
-        self.terms: dict[GrassWord, Scalar] = {}
+        acc: dict[GrassWord, Scalar] = {}
         for coeff, word in terms:
             got = _normalize_letters(word, N)
-            if got is None:
-                continue
-            phase, canon = got
-            val = self.terms.get(canon, ZERO) + coeff * phase
-            if val.is_zero():
-                self.terms.pop(canon, None)
-            else:
-                self.terms[canon] = val
+            if got is not None:
+                accumulate(acc, got[1], coeff * got[0])
+        self.terms = acc
 
     @staticmethod
     def zero(N: int) -> GrassElement:
@@ -103,52 +99,8 @@ class GrassElement:
     def word(N: int, letters: Iterable[GrassLetter]) -> GrassElement:
         return GrassElement(N, [(ONE, tuple(letters))])
 
-    def _require_same(self, other: GrassElement) -> None:
-        if self.N != other.N:
-            raise ValueError("generator count mismatch")
-
-    def __add__(self, other: GrassElement) -> GrassElement:
-        self._require_same(other)
-        out = GrassElement(self.N)
-        out.terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            val = out.terms.get(word, ZERO) + coeff
-            if val.is_zero():
-                out.terms.pop(word, None)
-            else:
-                out.terms[word] = val
-        return out
-
-    def __sub__(self, other: GrassElement) -> GrassElement:
-        return self + other.scale(-ONE)
-
-    def scale(self, s: Scalar) -> GrassElement:
-        out = GrassElement(self.N)
-        if not s.is_zero():
-            out.terms = {w: c * s for w, c in self.terms.items()}
-        return out
-
     def __mul__(self, other: GrassElement) -> GrassElement:
-        self._require_same(other)
-        items = []
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                items.append((c1 * c2, w1 + w2))
-        return GrassElement(self.N, items)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GrassElement):
-            return NotImplemented
-        return self.N == other.N and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.N, frozenset(self.terms.items())))
-
-    def __iter__(self) -> Iterator[tuple[GrassWord, Scalar]]:
-        return iter(self.terms.items())
+        return GrassElement(self.N, self._products(other))
 
     def grade(self) -> int | str:
         """Common grade of all terms, "mixed" otherwise; the zero element is 0."""
@@ -161,17 +113,6 @@ class GrassElement:
         from .render import render_grass
 
         return render_grass(self)
-
-    def __repr__(self) -> str:
-        return f"GrassElement(N={self.N}, terms={len(self.terms)})"
-
-
-def normalize_word(N: int, letters: Iterable[GrassLetter]) -> GrassElement:
-    return GrassElement.word(N, letters)
-
-
-def grade(x: GrassElement) -> int | str:
-    return x.grade()
 
 
 def enumerate_basis(N: int) -> list[tuple[GrassWord, int]]:

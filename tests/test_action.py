@@ -10,9 +10,11 @@ import pytest
 from z3forms import (
     CoeffExpr,
     Form,
+    JetSymbol,
     PairingConfig,
     abelian_connection,
     biharmonic_reference,
+    coefficient_form,
     conjugate_form,
     ddx,
     dx,
@@ -135,6 +137,32 @@ def test_real_names_skip_barring():
     cf = conjugate_form(a, real=frozenset({"A"}))
     back = cf.conjugate_back()
     assert back == a
+
+
+def test_real_names_are_part_of_a_conjugate_value():
+    n = 3
+    gens = dx(1, n) * dx(2, n) * dx(3, n)
+
+    def f(name: str, barred: bool = False) -> Form:
+        sym = JetSymbol(name, barred=barred)
+        return coefficient_form(CoeffExpr.from_symbol(sym), n) * gens
+
+    real_a = conjugate_form(f("A"), real={"A"})
+    barred_a = conjugate_form(f("A", barred=True))
+    # The same words, read back differently: A with A real, ~A otherwise.
+    assert real_a.terms == barred_a.terms
+    assert str(real_a) == "delta(A dx[1] dx[2] dx[3])"
+    assert str(barred_a) == "delta(~A dx[1] dx[2] dx[3])"
+    assert real_a != barred_a
+    assert real_a == conjugate_form(f("A"), real=frozenset({"A"}))
+    assert hash(real_a) == hash(conjugate_form(f("A"), real=frozenset({"A"})))
+    # Values with different real sets do not combine, so neither operand's
+    # words are read back under the other's real set.
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError):
+            combine(barred_a, conjugate_form(f("B"), real={"A"}))
+    both = barred_a + conjugate_form(f("B"))
+    assert both.conjugate_back() == f("A", barred=True) + f("B")
 
 
 # -- the Lagrangian ------------------------------------------------------------
