@@ -86,6 +86,8 @@ CORPUS = [
     "d(x[1] x[2])",
     "d(f dx[1])",
     "d(d(x[1] dx[2]))",
+    "d(U x[1] Uinv)",
+    "d(d(U x[1] Uinv dx[2]))",
     "d(A[1] dx[1])",
     "d[1](f)",
     "d[2](f g)",

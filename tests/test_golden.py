@@ -40,6 +40,11 @@ COMMANDS: dict[str, tuple[list[str], int]] = {
         for gauge in ("abelian", "generic", "pure:U")
     },
     **{
+        f"curvature_dim{dim}_pure_U.json": (
+            ["curvature", "--dim", str(dim), "--gauge", "pure:U", "--json"], 0)
+        for dim in (4, 5)
+    },
+    **{
         f"lagrangian_dim{dim}.txt": (["lagrangian", "--dim", str(dim)], 0)
         for dim in (2, 3)
     },
