@@ -17,8 +17,8 @@ coefficients from Q(j).  Supports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+from operator import itemgetter
 
 from .lincomb import LinComb, accumulate
 from .scalar import ONE, Scalar
@@ -34,47 +34,54 @@ COORDINATE_BASE = "x"
 CONSTANT_NAMES = frozenset({"mu"})
 
 
-@dataclass(frozen=True)
-class JetSymbol:
+class JetSymbol(tuple):
     """A formal jet: base symbol, optional index, sorted derivative indices.
 
     ``barred`` marks the conjugate partner of a symbol (produced by
     conjugation of expressions whose bases are not declared real).
+
+    A symbol is the tuple ``(name, index, derivs, barred)``, so the dict
+    lookups of the words it sits in hash and compare it in C.
     """
 
-    name: str
-    index: int | None = None
-    derivs: tuple[int, ...] = ()
-    barred: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "derivs", tuple(sorted(self.derivs)))
-        if self.name == "Uinv" and self.derivs:
+    def __new__(
+        cls,
+        name: str,
+        index: int | None = None,
+        derivs: Iterable[int] = (),
+        barred: bool = False,
+    ) -> JetSymbol:
+        derivs = tuple(sorted(derivs))
+        if name == "Uinv" and derivs:
             raise ValueError(
                 "jets of Uinv never survive normalization; use derive() instead"
             )
-        if self.name == COORDINATE_BASE and self.index is not None and self.derivs:
+        if name == COORDINATE_BASE and index is not None and derivs:
             raise ValueError(
                 "coordinate symbols differentiate to constants; "
                 "jets of x[i] cannot be constructed"
             )
-        if self.name in CONSTANT_NAMES and (self.derivs or self.barred):
-            raise ValueError(f"{self.name} is a real constant: it has no jets "
+        if name in CONSTANT_NAMES and (derivs or barred):
+            raise ValueError(f"{name} is a real constant: it has no jets "
                              "and no conjugate partner")
-        # Symbols are dict keys in every word: hash once, not per lookup.
-        object.__setattr__(
-            self, "_hash", hash((self.name, self.index, self.derivs, self.barred))
-        )
+        return tuple.__new__(cls, (name, index, derivs, barred))
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    name = property(itemgetter(0))
+    index = property(itemgetter(1))
+    derivs = property(itemgetter(2))
+    barred = property(itemgetter(3))
 
-    def __reduce__(self):
-        # str hashes differ between processes: rebuild, never pickle _hash.
-        return (JetSymbol, (self.name, self.index, self.derivs, self.barred))
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (f"JetSymbol(name={self[0]!r}, index={self[1]!r}, "
+                f"derivs={self[2]!r}, barred={self[3]!r})")
 
     def with_deriv(self, m: int) -> JetSymbol:
-        return JetSymbol(self.name, self.index, self.derivs + (m,), self.barred)
+        return JetSymbol(self[0], self[1], self[2] + (m,), self[3])
 
     def bar_toggled(self) -> JetSymbol:
         return JetSymbol(self.name, self.index, self.derivs, not self.barred)
@@ -114,32 +121,31 @@ def jet(name: str, index: int | None = None, derivs: Iterable[int] = ()) -> JetS
 Word = tuple[JetSymbol, ...]
 
 
-def _is_bare(sym: JetSymbol, name: str) -> bool:
-    return sym.name == name and not sym.derivs and sym.index is None
-
-
 #: Base names of the invertible pairs.
 _PAIR_NAMES = frozenset(n for pair in INVERSE_PAIRS for n in pair)
 
+#: Each bare letter of an invertible pair -> the letter it cancels against.
+_INVERSE = {
+    JetSymbol(a, barred=barred): JetSymbol(b, barred=barred)
+    for pair in INVERSE_PAIRS
+    for a, b in (pair, pair[::-1])
+    for barred in (False, True)
+}
+
 
 def _cancel_adjacent(letters: list[JetSymbol]) -> list[JetSymbol]:
-    """Remove adjacent U*Uinv / Uinv*U pairs (matching bar flags) to a fixed point."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters) - 1):
-            s, t = letters[i], letters[i + 1]
-            if s.barred != t.barred:
-                continue
-            for left, right in INVERSE_PAIRS:
-                names = {s.name, t.name}
-                if names == {left, right} and _is_bare(s, s.name) and _is_bare(t, t.name):
-                    del letters[i : i + 2]
-                    changed = True
-                    break
-            if changed:
-                break
-    return letters
+    """Remove adjacent U*Uinv / Uinv*U pairs (matching bar flags) to a fixed point.
+
+    Free reduction is confluent, so one left-to-right stack pass gives the
+    fixed point of cancelling pairs in any order.
+    """
+    out: list[JetSymbol] = []
+    for s in letters:
+        if out and _INVERSE.get(out[-1]) == s:
+            out.pop()
+        else:
+            out.append(s)
+    return out
 
 
 def _cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
@@ -244,23 +250,40 @@ class CoeffExpr(LinComb):
     # -- calculus -------------------------------------------------------------
 
     def derive(self, m: int) -> CoeffExpr:
-        """Formal partial derivative: a derivation over word concatenation."""
-        items: list[tuple[Scalar, tuple[JetSymbol, ...]]] = []
+        """Formal partial derivative: a derivation over word concatenation.
+
+        Each term changes one letter of a canonical word.  A jet in place of
+        its letter, or ``Uinv U_,m Uinv`` in place of a bare ``Uinv``,
+        creates no cancelling pair, so such a word is only re-sorted in the
+        commutative mode.  Dropping a coordinate can bring ``U`` next to
+        ``Uinv`` (``U x[m] Uinv``), so that word is normalized.
+        """
+        commutative = self.commutative
+        acc: dict[Word, Scalar] = {}
         for word, coeff in self.terms.items():
             for pos, sym in enumerate(word):
+                name, index, _, barred = sym
+                if name in CONSTANT_NAMES:
+                    continue  # constants differentiate to zero
                 head, tail = word[:pos], word[pos + 1 :]
-                if sym.name == "Uinv":
-                    uinv = JetSymbol("Uinv", barred=sym.barred)
-                    du = JetSymbol("U", derivs=(m,), barred=sym.barred)
-                    items.append((-coeff, head + (uinv, du, uinv) + tail))
-                elif sym.is_coordinate():
-                    if sym.index == m and not sym.derivs:
-                        items.append((coeff, head + tail))
-                elif sym.name in CONSTANT_NAMES:
-                    pass  # constants differentiate to zero
+                if name == COORDINATE_BASE and index is not None:
+                    if index != m:
+                        continue
+                    new, c, canonical = head + tail, coeff, False
+                elif name == "Uinv":
+                    uinv = JetSymbol("Uinv", barred=barred)
+                    du = JetSymbol("U", derivs=(m,), barred=barred)
+                    new, c = head + (uinv, du, uinv) + tail, -coeff
+                    # An indexed Uinv loses its index, which can make it cancel.
+                    canonical = index is None
                 else:
-                    items.append((coeff, head + (sym.with_deriv(m),) + tail))
-        return CoeffExpr(items, self.commutative)
+                    new, c, canonical = head + (sym.with_deriv(m),) + tail, coeff, True
+                if not canonical:
+                    new = normalize_word(new, commutative)
+                elif commutative:
+                    new = tuple(sorted(new, key=JetSymbol.sort_key))
+                accumulate(acc, new, c)
+        return self._like(acc)
 
     def conjugate(self, real: frozenset[str] | set[str] = frozenset()) -> CoeffExpr:
         """Antiautomorphism: reverse words, conjugate scalars, bar non-real bases.

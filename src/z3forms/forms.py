@@ -182,18 +182,23 @@ class Form(LinComb):
         """The graded differential (block-atomic on coefficient runs).
 
         Every term of ``d`` has one degree more than its word: words of
-        degree 3 contribute nothing, and below that a new term is already
-        canonical unless it reaches degree 3.  A derived run is normalized
-        by ``derive`` and sits between a generator (or the start) and
-        ``dx[q]``, so every run stays maximal; ``dx -> ddx`` changes no run.
+        degree 3 contribute nothing, and below degree 2 a new term is
+        already canonical.  A derived run is normalized by ``derive`` and
+        sits between a generator (or the start) and ``dx[q]``, so every run
+        stays maximal; ``dx -> ddx`` changes no run.  Words of degree 2 go
+        to ``_d_top``.
         """
         acc: dict[FormWord, Scalar] = {}
-        commutative = self.commutative
-        # Per run: [(coefficient, derived run + dx[q])] over q, computed once.
-        derived: dict[FormWord, list[tuple[Scalar, FormWord]]] = {}
+        # Per run: [(coefficient, derived run, dx[q])] over q, computed once.
+        derived: dict[FormWord, list[tuple[Scalar, FormWord, Letter]]] = {}
+        # Per degree-3 generator tuple: (phase, canonical word) or None.
+        top_gens: dict[tuple[Letter, ...], tuple[Scalar, FormWord] | None] = {}
         for word, coeff in self.terms.items():
             degree = word_degree(word)
             if degree == 3:
+                continue
+            if degree == 2:
+                self._d_top(word, coeff, acc, derived, top_gens)
                 continue
             size = len(word)
             prefix_grade = 0
@@ -201,38 +206,101 @@ class Form(LinComb):
             while pos < size:
                 kind, payload = word[pos]
                 end = pos + 1
+                before = word[:pos]
                 if kind == "c":
                     while end < size and word[end][0] == "c":
                         end += 1
-                    run = word[pos:end]
-                    terms = derived.get(run)
-                    if terms is None:
-                        terms = derived[run] = self._run_derivatives(run)
-                else:
-                    # d(ddx) == 0: no term
-                    terms = [(ONE, (("ddx", payload),))] if kind == "dx" else []
-                if terms:
-                    before, after = word[:pos], word[end:]
+                    after = word[end:]
                     c = coeff * jpow(prefix_grade)
-                    for cc, repl in terms:
-                        new = before + repl + after
-                        if degree < 2:
-                            accumulate(acc, new, c * cc)
-                        else:
-                            for phase, canon in normalize_form_word(new, commutative):
-                                accumulate(acc, canon, c * cc * phase)
+                    for cc, run, dxq in self._run_derivatives(word[pos:end], derived):
+                        accumulate(acc, before + run + (dxq,) + after, c * cc)
+                elif kind == "dx":
+                    new = before + (("ddx", payload),) + word[end:]
+                    accumulate(acc, new, coeff * jpow(prefix_grade))
+                # d(ddx) == 0: no term
                 prefix_grade += _DEGREE[kind]  # a coefficient run has grade 0
                 pos = end
         return self._like(acc)
 
-    def _run_derivatives(self, run: FormWord) -> list[tuple[Scalar, FormWord]]:
-        """[(coefficient, derive(run, q) word + dx[q])] for q = 1..n, in order."""
-        word = tuple(l[1] for l in run)  # canonical already
-        expr = CoeffExpr.zero(self.commutative)._like({word: ONE})
-        out: list[tuple[Scalar, FormWord]] = []
-        for q in range(1, self.n + 1):
-            for cw, cc in expr.derive(q).terms.items():
-                out.append((cc, tuple(("c", s) for s in cw) + (("dx", q),)))
+    def _d_top(
+        self,
+        word: FormWord,
+        coeff: Scalar,
+        acc: dict[FormWord, Scalar],
+        derived: dict[FormWord, list[tuple[Scalar, FormWord, Letter]]],
+        top_gens: dict[tuple[Letter, ...], tuple[Scalar, FormWord] | None],
+    ) -> None:
+        """Add the degree-3 terms of ``d(coeff * word)`` for a degree-2 word.
+
+        A degree-3 word is its runs joined into one run, then its canonical
+        generator word.  The word is split once into runs and generators;
+        the joined run is normalized only when there are two or more runs,
+        and each generator tuple is canonicalized once per ``d`` call.
+        """
+        runs: list[FormWord] = []
+        gens: list[Letter] = []
+        # Each part in word order: (run index, generators before it), or
+        # (None, generator index).
+        parts: list[tuple[int | None, int]] = []
+        for letter in word:
+            if letter[0] != "c":
+                parts.append((None, len(gens)))
+                gens.append(letter)
+            elif parts and parts[-1][0] is not None:
+                runs[-1] += (letter,)
+            else:
+                parts.append((len(runs), len(gens)))
+                runs.append((letter,))
+        gens_t = tuple(gens)
+        single = len(runs) == 1
+        commutative = self.commutative
+
+        def joined(some: list[FormWord]) -> FormWord:
+            if single:
+                return some[0]
+            syms = normalize_word([l[1] for run in some for l in run], commutative)
+            return tuple(("c", s) for s in syms)
+
+        def add(run: FormWord, new_gens: tuple[Letter, ...], c: Scalar) -> None:
+            if new_gens not in top_gens:
+                top_gens[new_gens] = _canonical_generators(new_gens)
+            got = top_gens[new_gens]
+            if got is not None:
+                accumulate(acc, run + got[1], c * got[0])
+
+        whole: FormWord | None = None  # the joined run of the word itself
+        prefix_grade = 0
+        for k, g in parts:
+            if k is not None:
+                c = coeff * jpow(prefix_grade)
+                before, after = gens_t[:g], gens_t[g:]
+                for cc, run, dxq in self._run_derivatives(runs[k], derived):
+                    add(joined(runs[:k] + [run] + runs[k + 1 :]),
+                        before + (dxq,) + after, c * cc)
+                continue
+            kind, index = gens_t[g]
+            if kind == "dx":
+                if whole is None:
+                    whole = joined(runs) if runs else ()
+                new_gens = gens_t[:g] + (("ddx", index),) + gens_t[g + 1 :]
+                add(whole, new_gens, coeff * jpow(prefix_grade))
+            prefix_grade += _DEGREE[kind]
+
+    def _run_derivatives(
+        self,
+        run: FormWord,
+        derived: dict[FormWord, list[tuple[Scalar, FormWord, Letter]]],
+    ) -> list[tuple[Scalar, FormWord, Letter]]:
+        """[(coefficient, derive(run, q) word, dx[q])] for q = 1..n, once per run."""
+        out = derived.get(run)
+        if out is None:
+            word = tuple(l[1] for l in run)  # canonical already
+            expr = CoeffExpr.zero(self.commutative)._like({word: ONE})
+            out = derived[run] = [
+                (cc, tuple(("c", s) for s in cw), ("dx", q))
+                for q in range(1, self.n + 1)
+                for cw, cc in expr.derive(q).terms.items()
+            ]
         return out
 
     # -- rendering -----------------------------------------------------------

@@ -6,6 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_form_properties import PROPERTY, forms, n_and_mode
 
 from z3forms import (
     CoeffExpr,
@@ -89,6 +92,16 @@ def test_pairing_hermitian_random():
         lhs = scalar_product(w, phi, cfg)
         rhs = scalar_product(phi, w, cfg).conjugate(frozenset())
         assert (lhs - rhs).is_zero()
+
+
+@PROPERTY
+@given(n_and_mode.flatmap(lambda nm: st.tuples(
+    forms(*nm, degrees=(3,)), forms(*nm, degrees=(3,)))))
+def test_pairing_hermitian_generated(pair):
+    w, phi = pair
+    for cfg in (PairingConfig(), PairingConfig(mu=scalar(2))):
+        lhs = scalar_product(w, phi, cfg)
+        assert lhs == scalar_product(phi, w, cfg).conjugate(frozenset())
 
 
 def test_pairing_positive_on_scalar_forms():

@@ -3,15 +3,20 @@
 ``CoeffExpr`` sums, differences, scalings and negations are built from
 their operands' canonical terms without normalizing the words again, and
 ``normalize_word`` returns a word with no ``U``, ``Uinv`` or constant
-letter as it is (sorted in the commutative mode).  These tests check both
-against the normalizing constructor on the same raw items, in both modes,
-with words that mix the invertible pair, ``mu``, barred symbols and
-coordinates.  Example generation is derandomized so that every run checks
+letter as it is (sorted in the commutative mode).  ``derive`` normalizes
+only the words where a coordinate was dropped, and ``_cancel_adjacent``
+reduces in one stack pass.  These tests check each against a reference
+written here (the normalizing constructor on the same raw items, or the
+fixed-point cancellation loop), in both modes, with words that mix the
+invertible pair, ``mu``, barred symbols and coordinates.  The contract of
+``JetSymbol`` (a tuple with dataclass-style attributes and ``repr``) is
+checked too.  Example generation is derandomized so that every run checks
 the same cases.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import subprocess
@@ -25,8 +30,15 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import z3forms  # noqa: E402
-from z3forms.coeffs import CoeffExpr, JetSymbol, normalize_word  # noqa: E402
-from z3forms.scalar import Scalar  # noqa: E402
+from z3forms.coeffs import (  # noqa: E402
+    CONSTANT_NAMES,
+    INVERSE_PAIRS,
+    CoeffExpr,
+    JetSymbol,
+    _cancel_adjacent,
+    normalize_word,
+)
+from z3forms.scalar import ONE, Scalar  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -132,3 +144,182 @@ def test_jet_symbol_hash_survives_pickling_across_processes():
     assert sym == fresh and hash(sym) == hash(fresh)
     assert {fresh: "found"}[sym] == "found"
     assert pickle.loads(pickle.dumps(fresh)) == fresh
+
+
+# -- derive against the generic path -------------------------------------------
+
+U, UINV = JetSymbol("U"), JetSymbol("Uinv")
+BU, BUINV = JetSymbol("U", barred=True), JetSymbol("Uinv", barred=True)
+X1, X2 = JetSymbol("x", 1), JetSymbol("x", 2)
+PAIRS = ((U, UINV), (UINV, U), (BU, BUINV), (BUINV, BU))
+
+#: An indexed Uinv loses its index under ``derive``, so it can cancel then.
+DERIVE_LETTERS = LETTERS + (JetSymbol("Uinv", 1), JetSymbol("x", 3))
+
+short_words = st.lists(st.sampled_from(DERIVE_LETTERS), max_size=2).map(tuple)
+# ``a x[i] b`` and ``a' a x[i] b b'`` for inverse pairs: dropping x[i] cancels.
+sandwiches = st.tuples(st.sampled_from(PAIRS), st.sampled_from((X1, X2))).map(
+    lambda t: (t[0][0], t[1], t[0][1]))
+nested = st.tuples(st.sampled_from(PAIRS), sandwiches).map(
+    lambda t: (t[0][0],) + t[1] + (t[0][1],))
+cancelling_words = st.tuples(short_words, st.one_of(sandwiches, nested), short_words).map(
+    lambda t: t[0] + t[1] + t[2])
+derive_items = st.lists(st.tuples(
+    scalars,
+    st.one_of(st.lists(st.sampled_from(DERIVE_LETTERS), max_size=4).map(tuple),
+              cancelling_words)), max_size=5)
+
+
+def ref_derive(x: CoeffExpr, m: int) -> CoeffExpr:
+    """The Leibniz rule, every raw term sent through ``CoeffExpr(items, mode)``."""
+    items = []
+    for word, coeff in x.terms.items():
+        for pos, sym in enumerate(word):
+            head, tail = word[:pos], word[pos + 1:]
+            if sym.name == "Uinv":
+                uinv = JetSymbol("Uinv", barred=sym.barred)
+                du = JetSymbol("U", derivs=(m,), barred=sym.barred)
+                items.append((-coeff, head + (uinv, du, uinv) + tail))
+            elif sym.is_coordinate():
+                if sym.index == m:
+                    items.append((coeff, head + tail))
+            elif sym.name not in CONSTANT_NAMES:
+                items.append((coeff, head + (sym.with_deriv(m),) + tail))
+    return CoeffExpr(items, x.commutative)
+
+
+@PROPERTY
+@given(derive_items, st.integers(1, 3), modes)
+def test_derive_matches_generic_path(xs, m, commutative):
+    x = CoeffExpr(xs, commutative)
+    got = x.derive(m)
+    assert list(got.terms.items()) == list(ref_derive(x, m).terms.items())
+    canonical(got)
+    assert got.commutative == commutative
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+def test_derive_cancels_after_dropping_a_coordinate(commutative):
+    f = JetSymbol("f")
+    for word in ((U, X1, UINV), (BUINV, X1, BU), (f, U, U, X1, UINV, UINV)):
+        got = CoeffExpr([(ONE, word)], commutative).derive(1)
+        dropped = () if word[0] != f else (f,)
+        assert got.terms[dropped] == ONE
+
+
+# -- one-pass cancellation against the fixed-point loop ----------------------------
+
+
+def loop_cancel_adjacent(letters: list[JetSymbol]) -> list[JetSymbol]:
+    """Remove adjacent bare inverse pairs, one at a time, to a fixed point."""
+    def bare(s: JetSymbol) -> bool:
+        return not s.derivs and s.index is None
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(letters) - 1):
+            s, t = letters[i], letters[i + 1]
+            if s.barred != t.barred:
+                continue
+            for left, right in INVERSE_PAIRS:
+                if {s.name, t.name} == {left, right} and bare(s) and bare(t):
+                    del letters[i:i + 2]
+                    changed = True
+                    break
+            if changed:
+                break
+    return letters
+
+
+CANCEL_LETTERS = (U, UINV, BU, BUINV, JetSymbol("U", derivs=(1,)),
+                  JetSymbol("U", derivs=(2,), barred=True), JetSymbol("U", 1),
+                  JetSymbol("f"), X1)
+
+
+
+def _nest(children):
+    """Wrap a letter list in an inverse pair, or join several lists."""
+    return st.one_of(
+        st.tuples(st.sampled_from(PAIRS), children).map(
+            lambda t: [t[0][0], *t[1], t[0][1]]),
+        st.lists(children, max_size=3).map(lambda groups: sum(groups, [])))
+
+
+letter_lists = st.recursive(st.sampled_from(CANCEL_LETTERS).map(lambda s: [s]), _nest,
+                            max_leaves=8)
+
+
+@PROPERTY
+@given(letter_lists)
+def test_cancel_adjacent_matches_fixed_point_loop(letters):
+    assert _cancel_adjacent(list(letters)) == loop_cancel_adjacent(list(letters))
+
+
+def test_cancel_adjacent_nested_and_barred_pairs():
+    assert _cancel_adjacent([U, U, UINV, UINV]) == []
+    assert _cancel_adjacent([BU, BUINV]) == []
+    assert _cancel_adjacent([UINV, BU, BUINV, U]) == []
+    assert _cancel_adjacent([U, BUINV]) == [U, BUINV]
+    jet_u = JetSymbol("U", derivs=(1,))
+    assert _cancel_adjacent([jet_u, UINV]) == [jet_u, UINV]
+
+
+# -- the JetSymbol contract ---------------------------------------------------------
+
+
+def test_jet_symbol_repr_is_dataclass_style():
+    assert repr(JetSymbol("f")) == (
+        "JetSymbol(name='f', index=None, derivs=(), barred=False)")
+    assert repr(JetSymbol("A", 2, (3, 1), barred=True)) == (
+        "JetSymbol(name='A', index=2, derivs=(1, 3), barred=True)")
+
+
+def test_jet_symbol_fields_and_equal_routes():
+    sym = JetSymbol("A", 2, (3, 1), True)
+    assert (sym.name, sym.index, sym.derivs, sym.barred) == ("A", 2, (1, 3), True)
+    routes = [
+        JetSymbol(name="A", index=2, derivs=(1, 3), barred=True),
+        JetSymbol("A", 2, barred=True).with_deriv(3).with_deriv(1),
+        JetSymbol("A", 2, (1,)).with_deriv(3).bar_toggled(),
+        JetSymbol("A", 2, iter([3, 1]), True),
+    ]
+    for other in routes:
+        assert other == sym and hash(other) == hash(sym)
+        assert type(other) is JetSymbol
+    assert len({sym, *routes}) == 1
+    assert sym != JetSymbol("A", 2, (1, 3))
+
+
+def test_jet_symbol_is_immutable():
+    sym = JetSymbol("f")
+    for name in ("name", "index", "derivs", "barred", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sym, name, None)
+    assert sym == JetSymbol("f")
+
+
+def test_jet_symbol_pickle_and_deepcopy_keep_the_value():
+    sym = JetSymbol("A", 2, (3, 1), barred=True)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(sym, protocol))
+        assert back == sym and hash(back) == hash(sym) and type(back) is JetSymbol
+        assert repr(back) == repr(sym)
+    copied = copy.deepcopy(sym)
+    assert copied == sym and type(copied) is JetSymbol and repr(copied) == repr(sym)
+
+
+def test_jet_symbol_validation_errors():
+    with pytest.raises(ValueError) as err:
+        JetSymbol("Uinv", derivs=(1,))
+    assert str(err.value) == (
+        "jets of Uinv never survive normalization; use derive() instead")
+    with pytest.raises(ValueError) as err:
+        JetSymbol("x", 1, (2,))
+    assert str(err.value) == ("coordinate symbols differentiate to constants; "
+                              "jets of x[i] cannot be constructed")
+    for kwargs in ({"derivs": (1,)}, {"barred": True}):
+        with pytest.raises(ValueError) as err:
+            JetSymbol("mu", **kwargs)
+        assert str(err.value) == ("mu is a real constant: it has no jets "
+                                  "and no conjugate partner")
