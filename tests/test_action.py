@@ -33,6 +33,7 @@ from z3forms import (
     scalar_product,
 )
 from z3forms.action import MU, divergence_of_strength, solve_linear, _laplacian
+from z3forms.expr import print_canonical
 from z3forms.scalar import J, ONE, Scalar, ZERO, scalar
 
 
@@ -306,3 +307,38 @@ def test_solve_linear_exact_and_inconsistent():
     assert sol == [scalar(2), scalar(Fraction(-1, 3))]
     h = CoeffExpr.from_symbol(jet("h"), True)
     assert solve_linear([f.terms, g.terms], h.terms) is None
+
+
+#: print_canonical(lorenz_reduce(biharmonic_reference(abelian_connection(n), cfg, k), n))
+BIHARMONIC_RESIDUES = {
+    (2, 1): "(A[1]_,1,1,1,1) + 2 * (A[1]_,1,1,2,2) + (A[1]_,2,2,2,2)"
+            " + 3/4 * (A[1]_,1,1) mu + 3/4 * (A[1]_,2,2) mu",
+    (2, 2): "-2 * (A[1]_,1,1,1,2) - (A[1]_,1,2,2,2) + (A[2]_,1,1,1,1)"
+            " - 3/4 * (A[1]_,1,2) mu + 3/4 * (A[2]_,1,1) mu",
+    (3, 1): "(A[1]_,1,1,1,1) + 2 * (A[1]_,1,1,2,2) + 2 * (A[1]_,1,1,3,3)"
+            " + (A[1]_,2,2,2,2) + 2 * (A[1]_,2,2,3,3) + (A[1]_,3,3,3,3)"
+            " + 3/4 * (A[1]_,1,1) mu + 3/4 * (A[1]_,2,2) mu + 3/4 * (A[1]_,3,3) mu",
+    (3, 2): "(A[2]_,1,1,1,1) + 2 * (A[2]_,1,1,2,2) + 2 * (A[2]_,1,1,3,3)"
+            " + (A[2]_,2,2,2,2) + 2 * (A[2]_,2,2,3,3) + (A[2]_,3,3,3,3)"
+            " + 3/4 * (A[2]_,1,1) mu + 3/4 * (A[2]_,2,2) mu + 3/4 * (A[2]_,3,3) mu",
+    (3, 3): "-2 * (A[1]_,1,1,1,3) - 2 * (A[1]_,1,2,2,3) - (A[1]_,1,3,3,3)"
+            " - 2 * (A[2]_,1,1,2,3) - 2 * (A[2]_,2,2,2,3) - (A[2]_,2,3,3,3)"
+            " + (A[3]_,1,1,1,1) + 2 * (A[3]_,1,1,2,2) + (A[3]_,2,2,2,2)"
+            " - 3/4 * (A[1]_,1,3) mu - 3/4 * (A[2]_,2,3) mu"
+            " + 3/4 * (A[3]_,1,1) mu + 3/4 * (A[3]_,2,2) mu",
+}
+
+
+def test_lorenz_reduce_residue_of_nonzero_inputs():
+    # The residue of an input outside the span depends on the pivot order
+    # (the jet with the largest sort key is eliminated); these pin it.
+    def a(i, *derivs):
+        return CoeffExpr.from_symbol(jet("A", i, derivs), True)
+
+    assert lorenz_reduce(a(2, 2), 2) == -a(1, 1)
+    assert lorenz_reduce(a(1, 1), 2) == a(1, 1)
+    assert lorenz_reduce(a(1, 1, 2), 2) == a(1, 1, 2)
+    cfg = PairingConfig()
+    for (n, k), text in BIHARMONIC_RESIDUES.items():
+        residue = lorenz_reduce(biharmonic_reference(abelian_connection(n), cfg, k), n)
+        assert print_canonical(residue) == text

@@ -46,8 +46,9 @@ COMMANDS: dict[str, tuple[list[str], int]] = {
     },
     **{
         f"lagrangian_dim{dim}.txt": (["lagrangian", "--dim", str(dim)], 0)
-        for dim in (2, 3)
+        for dim in (2, 3, 4)
     },
+    "lagrangian_dim3_mu3_7.txt": (["lagrangian", "--dim", "3", "--mu", "3/7"], 0),
 }
 
 CORPUS_FILE = "corpus_canonical.txt"
