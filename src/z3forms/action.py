@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations_with_replacement
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeffs import CoeffExpr, JetSymbol, Word
-from .forms import ComponentTable, Form, components
+from .forms import Form, components
 from .gauge import Connection, curvature, field_strength
 from .lincomb import LinComb, accumulate
 from .scalar import J, ONE, Scalar, ZERO, scalar
@@ -124,27 +125,33 @@ def conjugate_form(x: Form, real: frozenset[str] = frozenset()) -> ConjForm:
 # -- the pairing -------------------------------------------------------------------
 
 
+def _contract(
+    a: Mapping[object, CoeffExpr], b: Mapping[object, CoeffExpr],
+    real: frozenset[str], commutative: bool,
+) -> CoeffExpr:
+    """sum over the keys of both sector tables of conj(a[key]) * b[key]."""
+    acc = CoeffExpr.zero(commutative)
+    for key, expr in a.items():
+        if key in b:
+            acc = acc + expr.conjugate(real) * b[key]
+    return acc
+
+
 def scalar_product(w: Form, phi: Form, cfg: PairingConfig) -> CoeffExpr:
     """Contract two degree-3 forms over their component tables."""
     if w.n != phi.n or w.commutative != phi.commutative:
         raise ValueError("pairing requires forms of equal dimension and mode")
     cw, cp = components(w), components(phi)
     commutative = w.commutative
-    acc3 = CoeffExpr.zero(commutative)
-    for key in cw.T3:
-        if key in cp.T3:
-            acc3 = acc3 + cw.T3[key].conjugate(cfg.real) * cp.T3[key]
-    acc21 = CoeffExpr.zero(commutative)
-    for key in cw.T21:
-        if key in cp.T21:
-            acc21 = acc21 + cw.T21[key].conjugate(cfg.real) * cp.T21[key]
-    return acc3 + cfg.mu_expr(commutative) * acc21
+    return (_contract(cw.T3, cp.T3, cfg.real, commutative)
+            + cfg.mu_expr(commutative) * _contract(cw.T21, cp.T21, cfg.real, commutative))
 
 
 # -- quadratic action for commuting connections -------------------------------------
 
 
-def _real_names(conn: Connection) -> frozenset[str]:
+def _base_names(conn: Connection) -> frozenset[str]:
+    """The base names of the symbols in a connection's coefficients."""
     names: set[str] = set()
     for expr in conn.coefficients.values():
         for word, _ in expr:
@@ -154,12 +161,8 @@ def _real_names(conn: Connection) -> frozenset[str]:
 
 def lagrangian_density(conn: Connection, cfg: PairingConfig) -> CoeffExpr:
     """<Omega | Omega> for a commuting connection, as a jet polynomial."""
-    if not conn.commutative:
-        raise ValueError("the quadratic Lagrangian is defined for commuting "
-                         "connections")
-    omega = curvature(conn)
-    cfg_real = PairingConfig(cfg.mu, cfg.real | _real_names(conn))
-    return scalar_product(omega, omega, cfg_real)
+    L3, L21 = lagrangian_sectors(conn, cfg)
+    return L3 + cfg.mu_expr(True) * L21
 
 
 def lagrangian_sectors(conn: Connection, cfg: PairingConfig) -> tuple[CoeffExpr, CoeffExpr]:
@@ -171,14 +174,9 @@ def lagrangian_sectors(conn: Connection, cfg: PairingConfig) -> tuple[CoeffExpr,
         raise ValueError("the quadratic Lagrangian is defined for commuting "
                          "connections")
     comps = components(curvature(conn))
-    real = cfg.real | _real_names(conn)
-    acc3 = CoeffExpr.zero(True)
-    for key, expr in comps.T3.items():
-        acc3 = acc3 + expr.conjugate(real) * expr
-    acc21 = CoeffExpr.zero(True)
-    for key, expr in comps.T21.items():
-        acc21 = acc21 + expr.conjugate(real) * expr
-    return acc3, acc21
+    real = cfg.real | _base_names(conn)
+    return (_contract(comps.T3, comps.T3, real, True),
+            _contract(comps.T21, comps.T21, real, True))
 
 
 # -- formal variation ----------------------------------------------------------------
@@ -194,39 +192,27 @@ def variational_derivative(
     """
     if not L.commutative:
         raise ValueError("the formal variation is defined in commutative mode")
-    out: dict[int, CoeffExpr] = {}
-    for p in range(1, n + 1):
-        alphas: set[tuple[int, ...]] = set()
-        for word, _ in L:
-            for sym in word:
-                if sym.name == base and sym.index == p:
-                    alphas.add(sym.derivs)
-        acc = CoeffExpr.zero(True)
-        for alpha in alphas:
-            target = JetSymbol(base, p, alpha)
-            partial_items = []
-            for word, coeff in L:
-                for pos, sym in enumerate(word):
-                    if sym == target:
-                        partial_items.append((coeff, word[:pos] + word[pos + 1 :]))
-            term = CoeffExpr(partial_items, True)
-            for q in alpha:
-                term = term.derive(q)
-            if len(alpha) % 2 == 1:
-                term = term.scale(-ONE)
-            acc = acc + term
-        out[p] = acc
+    indices = range(1, n + 1)
+    # One scan of L: the partial derivative items under each jet base[p]_alpha.
+    partials: dict[JetSymbol, list[tuple[Scalar, Word]]] = {}
+    for word, coeff in L:
+        for pos, sym in enumerate(word):
+            if sym.name == base and sym.index in indices and not sym.barred:
+                partials.setdefault(sym, []).append((coeff, word[:pos] + word[pos + 1 :]))
+    out = {p: CoeffExpr.zero(True) for p in indices}
+    for sym, items in partials.items():
+        term = CoeffExpr(items, True)
+        for q in sym.derivs:
+            term = term.derive(q)
+        if len(sym.derivs) % 2 == 1:
+            term = term.scale(-ONE)
+        out[sym.index] = out[sym.index] + term
     return out
 
 
 def euler_lagrange_abelian(conn: Connection, cfg: PairingConfig) -> dict[int, CoeffExpr]:
     """Variation of the derived quadratic Lagrangian, one expression per index."""
-    base_names = {
-        sym.name
-        for expr in conn.coefficients.values()
-        for word, _ in expr
-        for sym in word
-    }
+    base_names = _base_names(conn)
     if len(base_names) != 1:
         raise ValueError("the variation needs a connection built from a single "
                          "symbol family")
@@ -235,61 +221,83 @@ def euler_lagrange_abelian(conn: Connection, cfg: PairingConfig) -> dict[int, Co
     return variational_derivative(L, conn.n, base)
 
 
-# -- exact linear algebra over the jet span -------------------------------------------
+# -- exact sparse elimination over Q(j) --------------------------------------------------
+#
+# A vector is a dict from key to nonzero Scalar; an echelon is a list of
+# (pivot, row) pairs.
+
+
+def _reduce(vec: Mapping, rows: Sequence[tuple[object, dict]]) -> dict:
+    """The residue of ``vec`` modulo a fully reduced echelon ``rows``.
+
+    Each row is zero at every other row's pivot, so subtracting one row
+    never brings back another's pivot and the row order does not matter:
+    the residue is the unique vector in ``vec + span`` whose support
+    avoids the pivots.  Zero entries of ``vec`` are dropped.
+    """
+    out: dict = {}
+    for key, coeff in vec.items():
+        accumulate(out, key, coeff)
+    for pivot, row in rows:
+        factor = out.get(pivot)
+        if factor is not None:
+            for key, coeff in row.items():
+                accumulate(out, key, -(factor * coeff))
+    return out
+
+
+def _echelon(
+    vectors: Iterable[Mapping], pivot_of: Callable[[dict], object]
+) -> list[tuple[object, dict]]:
+    """A fully reduced echelon of the span of ``vectors``.
+
+    Each row has entry 1 at its pivot and 0 at every other row's pivot.
+    ``pivot_of`` picks the pivot among the keys of a nonzero residue; a
+    residue for which it returns None adds no row.
+    """
+    rows: list[tuple[object, dict]] = []
+    for vec in vectors:
+        vec = _reduce(vec, rows)
+        pivot = pivot_of(vec) if vec else None
+        if pivot is None:
+            continue
+        inv = vec[pivot].inverse()
+        new = (pivot, {key: coeff * inv for key, coeff in vec.items()})
+        rows = [(p, _reduce(row, [new]) if pivot in row else row) for p, row in rows]
+        rows.append(new)
+    return rows
 
 
 def solve_linear(
     columns: Sequence[Mapping], target: Mapping
 ) -> list[Scalar] | None:
-    """Solve sum_i x_i * columns[i] == target exactly; None if inconsistent.
+    """Solve sum_i x_i * columns[i] == target exactly.
 
-    Columns and target are mappings word -> Scalar.  Requires the columns
-    to be linearly independent.
+    Columns and target are mappings word -> Scalar.  Returns None if the
+    target lies outside the span of the columns, and also if the columns
+    are linearly dependent.
     """
-    keys: list = sorted(
-        {k for col in columns for k in col} | set(target),
-        key=repr,
-    )
-    rows = [
-        [col.get(key, ZERO) for col in columns] + [target.get(key, ZERO)]
-        for key in keys
-    ]
-    ncols = len(columns)
-    pivot_row = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        sel = next(
-            (r for r in range(pivot_row, len(rows)) if not rows[r][col].is_zero()),
-            None,
-        )
-        if sel is None:
-            return None  # dependent columns: caller passed a degenerate basis
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [e * inv for e in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [
-                    e - factor * rows[pivot_row][c2] for c2, e in enumerate(rows[r])
-                ]
-        pivots.append(col)
-        pivot_row += 1
-    for r in range(pivot_row, len(rows)):
-        if not rows[r][ncols].is_zero():
-            return None
-    solution = [ZERO] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = rows[r][ncols]
-    return solution
+    # Column i carries a tag key that is never a pivot, so the residue of
+    # the target holds -x_i at tag i and nothing else when it is solvable.
+    tags = [object() for _ in columns]
+    tag_set = set(tags)
+    tagged = ({**col, tag: ONE} for col, tag in zip(columns, tags))
+    rows = _echelon(tagged, lambda vec: next((k for k in vec if k not in tag_set), None))
+    if len(rows) < len(columns):
+        return None  # dependent columns: caller passed a degenerate basis
+    residue = _reduce(target, rows)
+    if any(k not in tag_set for k in residue):
+        return None
+    return [-residue.get(tag, ZERO) for tag in tags]
 
 
 def lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
     """Reduce an expression linear in the jets of ``base`` modulo the
     divergence constraint sum_i derive(base[i], i) == 0 and all its jets.
 
-    Uses exact Gaussian elimination against the constraint generators; the
-    result is a canonical representative (zero iff x lies in the span).
+    Uses exact Gaussian elimination against the constraint generators,
+    each pivoting on its jet of largest sort key; the result is a canonical
+    representative (zero iff x lies in the span).
     """
     if not x.commutative:
         raise ValueError("the gauge reduction is defined in commutative mode")
@@ -304,71 +312,20 @@ def lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
             raise ValueError("the gauge reduction applies to expressions linear "
                              f"in the jets of {base!r} (constant weights aside)")
         max_order = max(max_order, len(rest[0].derivs))
-        group = split.setdefault(consts, {})
-        group[rest] = group.get(rest, ZERO) + coeff
+        accumulate(split.setdefault(consts, {}), rest, coeff)
     if max_order == 0:
         return x
 
-    def multisets(size: int) -> list[tuple[int, ...]]:
-        if size == 0:
-            return [()]
-        out = []
-        def rec(prefix: tuple[int, ...], start: int, left: int) -> None:
-            if left == 0:
-                out.append(prefix)
-                return
-            for v in range(start, n + 1):
-                rec(prefix + (v,), v, left - 1)
-        rec((), 1, size)
-        return out
-
-    generators: list[dict[Word, Scalar]] = []
-    for size in range(max_order):
-        for beta in multisets(size):
-            gen: dict[Word, Scalar] = {}
-            for i in range(1, n + 1):
-                word = (JetSymbol(base, i, beta + (i,)),)
-                gen[word] = gen.get(word, ZERO) + ONE
-            generators.append(gen)
-
-    def leading(vec: dict[Word, Scalar]):
-        return max(vec, key=lambda w: w[0].sort_key())
-
-    echelon: list[tuple[Word, dict[Word, Scalar]]] = []
-    for gen in generators:
-        vec = dict(gen)
-        for lead, basis_vec in echelon:
-            if lead in vec:
-                factor = vec[lead]
-                for w, c in basis_vec.items():
-                    nv = vec.get(w, ZERO) - factor * c
-                    if nv.is_zero():
-                        vec.pop(w, None)
-                    else:
-                        vec[w] = nv
-        if not vec:
-            continue
-        lead = leading(vec)
-        inv = vec[lead].inverse()
-        vec = {w: c * inv for w, c in vec.items()}
-        echelon.append((lead, vec))
-    echelon.sort(key=lambda item: item[0][0].sort_key(), reverse=True)
-
+    generators = (
+        {(JetSymbol(base, i, beta + (i,)),): ONE for i in range(1, n + 1)}
+        for size in range(max_order)
+        for beta in combinations_with_replacement(range(1, n + 1), size)
+    )
+    rows = _echelon(generators, lambda vec: max(vec, key=lambda w: w[0].sort_key()))
     out: dict[Word, Scalar] = {}
     for consts, group in split.items():
-        residue = dict(group)
-        for lead, basis_vec in echelon:
-            if lead in residue:
-                factor = residue[lead]
-                for w, c in basis_vec.items():
-                    nv = residue.get(w, ZERO) - factor * c
-                    if nv.is_zero():
-                        residue.pop(w, None)
-                    else:
-                        residue[w] = nv
-        for w, c in residue.items():
-            full = tuple(sorted(consts + w, key=lambda s: s.sort_key()))
-            out[full] = out.get(full, ZERO) + c
+        for w, c in _reduce(group, rows).items():
+            accumulate(out, tuple(sorted(consts + w, key=JetSymbol.sort_key)), c)
     return CoeffExpr(out, True)
 
 

@@ -31,6 +31,7 @@ from z3forms import (
     lorenz_reduce,
     reference_field_equation,
     scalar_product,
+    variational_derivative,
 )
 from z3forms.action import MU, divergence_of_strength, solve_linear, _laplacian
 from z3forms.expr import print_canonical
@@ -235,6 +236,54 @@ def test_lagrangian_mu_sector_is_strength_square():
 
 
 # -- the variation -------------------------------------------------------------
+
+
+def two_pass_variation(L: CoeffExpr, n: int, base: str = "A") -> dict[int, CoeffExpr]:
+    """Reference: for each p, rescan L once per jet of base[p] that occurs."""
+    out = {}
+    for p in range(1, n + 1):
+        alphas = {sym.derivs for word, _ in L for sym in word
+                  if sym.name == base and sym.index == p}
+        acc = CoeffExpr.zero(True)
+        for alpha in alphas:
+            target = JetSymbol(base, p, alpha)
+            items = [(coeff, word[:pos] + word[pos + 1 :])
+                     for word, coeff in L
+                     for pos, sym in enumerate(word) if sym == target]
+            term = CoeffExpr(items, True)
+            for q in alpha:
+                term = term.derive(q)
+            if len(alpha) % 2 == 1:
+                term = term.scale(-ONE)
+            acc = acc + term
+        out[p] = acc
+    return out
+
+
+#: Letters of generated Lagrangians: jets of A up to order 3 with indices
+#: inside and outside 1..n (n <= 3 below), an unindexed and a barred A,
+#: another base name, a coordinate and the constant mu.
+VARIATION_LETTERS = st.sampled_from(
+    [jet("A", i, d) for i in (0, 1, 2, 3, 4)
+     for d in ((), (1,), (2,), (1, 2), (2, 2), (1, 1, 3))]
+    + [jet("A"), JetSymbol("A", 1, (1,), barred=True), jet("B", 1, (1,)),
+       jet("x", 1), MU])
+VARIATION_INPUTS = st.lists(
+    st.tuples(st.integers(-3, 3).map(scalar), st.lists(VARIATION_LETTERS, max_size=3)),
+    max_size=6).map(lambda items: CoeffExpr(items, True))
+
+
+@PROPERTY
+@given(VARIATION_INPUTS, st.integers(1, 3))
+def test_variational_derivative_matches_two_pass_reference(L, n):
+    assert variational_derivative(L, n) == two_pass_variation(L, n)
+
+
+def test_variational_derivative_of_the_lagrangian_matches_reference():
+    cfg = PairingConfig()
+    for n in (2, 3):
+        L = lagrangian_density(abelian_connection(n), cfg)
+        assert variational_derivative(L, n) == two_pass_variation(L, n)
 
 
 def test_variation_decomposition():
