@@ -223,48 +223,48 @@ def euler_lagrange_abelian(conn: Connection, cfg: PairingConfig) -> dict[int, Co
 
 # -- exact sparse elimination over Q(j) --------------------------------------------------
 #
-# A vector is a dict from key to nonzero Scalar; an echelon is a list of
-# (pivot, row) pairs.
+# A vector is a dict from key to nonzero Scalar; an echelon is a dict from
+# pivot key to row.
 
 
-def _reduce(vec: Mapping, rows: Sequence[tuple[object, dict]]) -> dict:
+def _reduce(vec: Mapping, rows: Mapping[object, dict]) -> dict:
     """The residue of ``vec`` modulo a fully reduced echelon ``rows``.
 
     Each row is zero at every other row's pivot, so subtracting one row
-    never brings back another's pivot and the row order does not matter:
-    the residue is the unique vector in ``vec + span`` whose support
-    avoids the pivots.  Zero entries of ``vec`` are dropped.
+    leaves the entries at the other pivots as they are: only the rows at
+    the pivots in the support of ``vec`` are subtracted, in any order.  The
+    residue is the unique vector in ``vec + span`` whose support avoids
+    the pivots.  Zero entries of ``vec`` are dropped.
     """
-    out: dict = {}
-    for key, coeff in vec.items():
-        accumulate(out, key, coeff)
-    for pivot, row in rows:
-        factor = out.get(pivot)
-        if factor is not None:
-            for key, coeff in row.items():
-                accumulate(out, key, -(factor * coeff))
+    out = {key: coeff for key, coeff in vec.items() if not coeff.is_zero()}
+    for pivot in [key for key in out if key in rows]:
+        factor = -out[pivot]
+        for key, coeff in rows[pivot].items():
+            accumulate(out, key, factor * coeff)
     return out
 
 
 def _echelon(
     vectors: Iterable[Mapping], pivot_of: Callable[[dict], object]
-) -> list[tuple[object, dict]]:
+) -> dict[object, dict]:
     """A fully reduced echelon of the span of ``vectors``.
 
     Each row has entry 1 at its pivot and 0 at every other row's pivot.
     ``pivot_of`` picks the pivot among the keys of a nonzero residue; a
     residue for which it returns None adds no row.
     """
-    rows: list[tuple[object, dict]] = []
+    rows: dict[object, dict] = {}
     for vec in vectors:
         vec = _reduce(vec, rows)
         pivot = pivot_of(vec) if vec else None
         if pivot is None:
             continue
         inv = vec[pivot].inverse()
-        new = (pivot, {key: coeff * inv for key, coeff in vec.items()})
-        rows = [(p, _reduce(row, [new]) if pivot in row else row) for p, row in rows]
-        rows.append(new)
+        new = {pivot: {key: coeff * inv for key, coeff in vec.items()}}
+        for p, row in rows.items():
+            if pivot in row:
+                rows[p] = _reduce(row, new)
+        rows.update(new)
     return rows
 
 
