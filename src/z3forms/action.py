@@ -129,7 +129,7 @@ def _contract(
     a: Mapping[object, CoeffExpr], b: Mapping[object, CoeffExpr],
     real: frozenset[str], commutative: bool,
 ) -> CoeffExpr:
-    """sum over the keys of both sector tables of conj(a[key]) * b[key]."""
+    """Sum over the keys of both sector tables of conj(a[key]) * b[key]."""
     acc = CoeffExpr.zero(commutative)
     for key, expr in a.items():
         if key in b:
