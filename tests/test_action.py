@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -33,8 +34,10 @@ from z3forms import (
     scalar_product,
     variational_derivative,
 )
-from z3forms.action import MU, divergence_of_strength, solve_linear, _laplacian
+from z3forms.action import MU, divergence_of_strength, solve_linear, _echelon, _laplacian, _reduce
+from z3forms.coeffs import CONSTANT_NAMES
 from z3forms.expr import print_canonical
+from z3forms.lincomb import accumulate
 from z3forms.scalar import J, ONE, Scalar, ZERO, scalar
 
 
@@ -391,3 +394,50 @@ def test_lorenz_reduce_residue_of_nonzero_inputs():
     for (n, k), text in BIHARMONIC_RESIDUES.items():
         residue = lorenz_reduce(biharmonic_reference(abelian_connection(n), cfg, k), n)
         assert print_canonical(residue) == text
+
+
+def echelon_lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
+    """Reference: eliminate against an echelon that ``_echelon`` builds from
+    the constraint generators, each pivoting on its jet of largest sort key."""
+    max_order = 0
+    split: dict = {}
+    for word, coeff in x:
+        consts = tuple(s for s in word if s.name in CONSTANT_NAMES)
+        rest = tuple(s for s in word if s.name not in CONSTANT_NAMES)
+        max_order = max(max_order, len(rest[0].derivs))
+        accumulate(split.setdefault(consts, {}), rest, coeff)
+    if max_order == 0:
+        return x
+    generators = (
+        {(JetSymbol(base, i, beta + (i,)),): ONE for i in range(1, n + 1)}
+        for size in range(max_order)
+        for beta in combinations_with_replacement(range(1, n + 1), size)
+    )
+    rows = _echelon(generators, lambda vec: max(vec, key=lambda w: w[0].sort_key()))
+    out: dict = {}
+    for consts, group in split.items():
+        for w, c in _reduce(group, rows).items():
+            accumulate(out, tuple(sorted(consts + w, key=JetSymbol.sort_key)), c)
+    return CoeffExpr(out, True)
+
+
+@st.composite
+def lorenz_inputs(draw):
+    """An expression linear in the jets of A, of order 0..4, with or without mu."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 4))
+    jets = st.builds(lambda i, derivs: jet("A", i, derivs), st.integers(1, n),
+                     st.lists(st.integers(1, n), max_size=order))
+    prefix = st.sampled_from([(), (MU,)])
+    items = draw(st.lists(st.tuples(st.integers(-3, 3).map(scalar),
+                                    st.builds(lambda p, a: p + (a,), prefix, jets)),
+                          max_size=6))
+    return CoeffExpr(items, True), n
+
+
+@PROPERTY
+@given(lorenz_inputs())
+def test_lorenz_reduce_matches_echelon_reference(case):
+    x, n = case
+    got, want = lorenz_reduce(x, n), echelon_lorenz_reduce(x, n)
+    assert list(got.terms.items()) == list(want.terms.items())

@@ -13,6 +13,10 @@ import math
 import random
 from typing import Mapping
 
+from hypothesis import given
+from hypothesis import strategies as st
+from test_form_properties import PROPERTY, SCALARS, symbols
+
 from z3forms import (
     CoeffExpr,
     Form,
@@ -40,6 +44,7 @@ from z3forms.gauge import (
     tables_equal,
     true_curvature_table,
 )
+from z3forms.forms import redistribute_t3
 from z3forms.scalar import Scalar
 
 
@@ -288,3 +293,43 @@ def test_projector_faithful_on_forms():
                          + (("dx", i), ("dx", k), ("dx", m)))],
                 )
         assert rebuilt == w
+
+
+def two_pass_symmetrize(T3: Mapping[tuple, CoeffExpr], n: int, commutative: bool) -> dict:
+    """Reference: redistribute over full triples, then apply the projector."""
+    return cyclic_symmetrize_raw(redistribute_t3(T3, commutative), n, commutative)
+
+
+def assert_same_table(got: Mapping, want: Mapping) -> None:
+    assert list(got) == list(want)
+    assert got == want
+
+
+def test_symmetrize_matches_two_pass_reference_on_curvature():
+    for n in (2, 3, 4):
+        for conn in (generic_connection(n), abelian_connection(n), pure_gauge_connection(n)):
+            for c in (conn, gauge_transform(conn)):
+                T3 = curvature_components(c).T3
+                assert_same_table(cyclic_symmetrize(T3, n, c.commutative),
+                                  two_pass_symmetrize(T3, n, c.commutative))
+
+
+@st.composite
+def raw_t3_tables(draw):
+    """A table over any triples in 1..n: rotations that are not least, and
+    all-equal triples, included."""
+    n = draw(st.integers(1, 3))
+    commutative = draw(st.booleans())
+    index = st.integers(1, n)
+    coeffs = st.lists(st.tuples(st.sampled_from(SCALARS), st.lists(symbols(n), max_size=2)),
+                      min_size=1, max_size=2).map(lambda items: CoeffExpr(items, commutative))
+    table = draw(st.dictionaries(st.tuples(index, index, index), coeffs, max_size=6))
+    return table, n, commutative
+
+
+@PROPERTY
+@given(raw_t3_tables())
+def test_symmetrize_matches_two_pass_reference_generated(case):
+    table, n, commutative = case
+    assert_same_table(cyclic_symmetrize(table, n, commutative),
+                      two_pass_symmetrize(table, n, commutative))
