@@ -22,9 +22,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .coeffs import CoeffExpr, JetSymbol, Word
+from .coeffs import CONSTANT_NAMES, CoeffExpr, JetSymbol, Word
 from .forms import Form, components
-from .gauge import Connection, curvature, field_strength
+from .gauge import Connection, abelian_connection, curvature, field_strength
 from .lincomb import LinComb, accumulate
 from .scalar import J, ONE, Scalar, ZERO, scalar
 
@@ -295,14 +295,12 @@ def lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
     """Reduce an expression linear in the jets of ``base`` modulo the
     divergence constraint sum_i derive(base[i], i) == 0 and all its jets.
 
-    Uses exact Gaussian elimination against the constraint generators,
-    each pivoting on its jet of largest sort key; the result is a canonical
-    representative (zero iff x lies in the span).
+    Eliminates against the constraint generators, each pivoting on its jet
+    of largest sort key; the result is a canonical representative (zero iff
+    x lies in the span).
     """
     if not x.commutative:
         raise ValueError("the gauge reduction is defined in commutative mode")
-    from .coeffs import CONSTANT_NAMES
-
     max_order = 0
     split: dict[tuple, dict[Word, Scalar]] = {}
     for word, coeff in x:
@@ -316,12 +314,13 @@ def lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
     if max_order == 0:
         return x
 
-    generators = (
-        {(JetSymbol(base, i, beta + (i,)),): ONE for i in range(1, n + 1)}
-        for size in range(max_order)
-        for beta in combinations_with_replacement(range(1, n + 1), size)
-    )
-    rows = _echelon(generators, lambda vec: max(vec, key=lambda w: w[0].sort_key()))
+    # Generator beta holds the jets base[i]_(beta+i), so no two generators
+    # share a jet: each one is already a row of a fully reduced echelon.
+    rows: dict[Word, dict] = {}
+    for size in range(max_order):
+        for beta in combinations_with_replacement(range(1, n + 1), size):
+            row = {(JetSymbol(base, i, beta + (i,)),): ONE for i in range(1, n + 1)}
+            rows[max(row, key=lambda w: w[0].sort_key())] = row
     out: dict[Word, Scalar] = {}
     for consts, group in split.items():
         for w, c in _reduce(group, rows).items():
@@ -426,8 +425,6 @@ class LagrangianReport:
 def lagrangian_report(n: int, cfg: PairingConfig | None = None) -> LagrangianReport:
     """Fit the derived Lagrangian to its quadratic normal shape, exactly."""
     cfg = cfg or PairingConfig()
-    from .gauge import abelian_connection
-
     conn = abelian_connection(n)
     L3, L21 = lagrangian_sectors(conn, cfg)
     F = field_strength(conn)
@@ -495,29 +492,25 @@ class FieldEquationReport:
 def field_equation_report(n: int, cfg: PairingConfig | None = None) -> FieldEquationReport:
     """Fit the derived variation to alpha * Lap(G_p) + gamma * mu * G_p, exactly."""
     cfg = cfg or PairingConfig()
-    from .gauge import abelian_connection
-
     conn = abelian_connection(n)
     EL = euler_lagrange_abelian(conn, cfg)
     G = divergence_of_strength(conn)
     mu = cfg.mu_expr(True)
+    shapes = {p: (_laplacian(G[p], n), mu * G[p]) for p in range(1, n + 1)}
     target: dict = {}
     col_a: dict = {}
     col_b: dict = {}
-    for p in range(1, n + 1):
+    for p, (lap, mug) in shapes.items():
         for w, c in EL[p]:
             target[(p, w)] = c
-        for w, c in _laplacian(G[p], n):
+        for w, c in lap:
             col_a[(p, w)] = c
-        for w, c in (mu * G[p]):
+        for w, c in mug:
             col_b[(p, w)] = c
     sol = solve_linear([col_a, col_b], target)
     if sol is None:
         return FieldEquationReport(n, ZERO, ZERO, exact=False)
     alpha, gamma = sol
-    residual_zero = True
-    for p in range(1, n + 1):
-        resid = EL[p] - _laplacian(G[p], n).scale(alpha) - (mu * G[p]).scale(gamma)
-        if not resid.is_zero():
-            residual_zero = False
+    residual_zero = all((EL[p] - lap.scale(alpha) - mug.scale(gamma)).is_zero()
+                        for p, (lap, mug) in shapes.items())
     return FieldEquationReport(n, alpha, gamma, residual_zero)

@@ -33,27 +33,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from .action import ConjForm, conjugate_form
 from .coeffs import CoeffExpr, JetSymbol
 from .forms import Form, coefficient_form, ddx, dx
 from .grassmann import GrassElement
 from .matrices import GradedMatrix, eta_differential
-from .render import (
-    render_coeff,
-    render_conj_form,
-    render_form,
-    render_grass,
-    render_matrix,
-)
 from .scalar import Scalar, jpow, scalar
 
 Value = Union[Scalar, CoeffExpr, Form, GrassElement, GradedMatrix, ConjForm]
 
 _GENERATOR_KINDS = ("dx", "ddx", "delx", "del2x")
 _THETA_KINDS = ("th", "bth")
-_RESERVED = set(_GENERATOR_KINDS) | set(_THETA_KINDS) | {"d", "delta", "mat", "j"}
 
 
 class ParseError(ValueError):
@@ -380,20 +372,23 @@ class EvalContext:
     commutative: bool = False
 
 
+#: The kind of every value type.  Lookups are by exact type: no value type
+#: has a subclass.
+_KINDS: dict[type, str] = {
+    Scalar: "scalar",
+    CoeffExpr: "coeff",
+    Form: "form",
+    GrassElement: "grass",
+    GradedMatrix: "matrix",
+    ConjForm: "conj",
+}
+
+
 def _kind(v: Value) -> str:
-    if isinstance(v, Scalar):
-        return "scalar"
-    if isinstance(v, CoeffExpr):
-        return "coeff"
-    if isinstance(v, Form):
-        return "form"
-    if isinstance(v, GrassElement):
-        return "grass"
-    if isinstance(v, GradedMatrix):
-        return "matrix"
-    if isinstance(v, ConjForm):
-        return "conj"
-    raise EvalError(f"unsupported value {type(v).__name__}")
+    kind = _KINDS.get(type(v))
+    if kind is None:
+        raise EvalError(f"unsupported value {type(v).__name__}")
+    return kind
 
 
 def _to_coeff(v: Value, ctx: EvalContext) -> CoeffExpr:
@@ -527,36 +522,23 @@ def evaluate_text(text: str, ctx: EvalContext) -> Value:
 
 def print_canonical(v: Value) -> str:
     """Deterministic canonical text for any normalized algebra value."""
-    if isinstance(v, Scalar):
-        return str(v)
-    if isinstance(v, CoeffExpr):
-        return render_coeff(v)
-    if isinstance(v, Form):
-        return render_form(v)
-    if isinstance(v, ConjForm):
-        return render_conj_form(v)
-    if isinstance(v, GrassElement):
-        return render_grass(v)
-    if isinstance(v, GradedMatrix):
-        return render_matrix(v)
-    raise EvalError(f"cannot print {type(v).__name__}")
+    if type(v) not in _KINDS:
+        raise EvalError(f"cannot print {type(v).__name__}")
+    return str(v)
 
 
 def grade_description(v: Value) -> str:
     """Human-readable grade/degree line used by the grade command."""
-    if isinstance(v, (Scalar, CoeffExpr)):
+    kind = _KINDS.get(type(v))
+    if kind in ("scalar", "coeff") or (kind == "conj" and v.is_zero()):
         return "grade 0, degree 0"
-    if isinstance(v, Form):
+    if kind == "conj":
+        return "grade 0, degree 3 (conjugate side)"
+    if kind == "form":
         grade, degree = v.grade_and_degree()
         return f"grade {grade}, degree {degree}"
-    if isinstance(v, ConjForm):
-        if v.is_zero():
-            return "grade 0, degree 0"
-        return "grade 0, degree 3 (conjugate side)"
-    if isinstance(v, GrassElement):
+    if kind == "grass":
         return f"grade {v.grade()}"
-    if isinstance(v, GradedMatrix):
-        from .matrices import grade_of
-
-        return f"grade {grade_of(v)}"
+    if kind == "matrix":
+        return f"grade {v.grade_of()}"
     raise EvalError(f"no grade defined for {type(v).__name__}")

@@ -28,6 +28,7 @@ contributes the phase j^p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .coeffs import CoeffExpr, JetSymbol, normalize_word
@@ -367,12 +368,6 @@ class ComponentTable:
     n: int
     commutative: bool
 
-    def t3(self, i: int, k: int, m: int) -> CoeffExpr:
-        return self.T3.get((i, k, m), CoeffExpr.zero(self.commutative))
-
-    def t21(self, i: int, k: int) -> CoeffExpr:
-        return self.T21.get((i, k), CoeffExpr.zero(self.commutative))
-
 
 def components(x: Form) -> ComponentTable:
     """Decompose a degree-3 form into its two coefficient tables."""
@@ -420,11 +415,7 @@ def redistribute_t3(
     canonical coefficient X contributes (1/3) j^s X at the s-fold rotation;
     the resulting full table represents the same form.
     """
-    from fractions import Fraction
-
-    from .scalar import Scalar as _S
-
-    third = _S(Fraction(1, 3))
+    third = Scalar(Fraction(1, 3))
     full: dict[tuple[int, int, int], CoeffExpr] = {}
     for triple, expr in T3.items():
         for s in range(3):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .coeffs import CoeffExpr, JetSymbol
 from .forms import (
@@ -39,7 +39,7 @@ from .forms import (
     dx,
     redistribute_t3,
 )
-from .scalar import J, J2, ONE, Scalar, jpow, scalar
+from .scalar import J, J2, ONE, scalar
 
 T3Table = dict[tuple[int, int, int], CoeffExpr]
 T21Table = dict[tuple[int, int], CoeffExpr]
@@ -62,12 +62,6 @@ class Connection:
 
     def a(self, i: int) -> CoeffExpr:
         return self.coefficients[i]
-
-
-def zero_connection(n: int, commutative: bool = False) -> Connection:
-    return Connection(
-        {i: CoeffExpr.zero(commutative) for i in range(1, n + 1)}, n, commutative
-    )
 
 
 def generic_connection(n: int, commutative: bool = False, base: str = "A") -> Connection:
@@ -224,15 +218,15 @@ def cyclic_symmetrize_raw(
 def cyclic_symmetrize(
     T3: Mapping[tuple[int, int, int], CoeffExpr], n: int, commutative: bool
 ) -> T3Table:
-    """Symmetrize a canonical-representative table.
+    """Symmetrize a table of triples in 1..n, keys sorted.
 
-    The canonical table is first redistributed over all index triples with
-    the rotation phases (preserving the form it represents), then projected
-    with the cyclic projector.  Projecting a raw (non-canonical) table is
-    available as ``cyclic_symmetrize_raw``.
+    The table is redistributed over all index triples with the rotation
+    phases, which preserves the form it represents.  The redistribution
+    puts (1/3) j^s X at the s-fold left rotation of each key, so it already
+    satisfies S[k,m,i] == j S[i,k,m] and the cyclic projector would return
+    it unchanged.  Projecting a raw table is ``cyclic_symmetrize_raw``.
     """
-    full = redistribute_t3(T3, commutative)
-    return cyclic_symmetrize_raw(full, n, commutative)
+    return dict(sorted(redistribute_t3(T3, commutative).items()))
 
 
 def covariant_cyclic_combination(conn: Connection) -> T3Table:

@@ -139,8 +139,7 @@ def enumerate_basis(N: int) -> list[tuple[GrassWord, int]]:
                 for c in rng:
                     if a == b == c:
                         continue
-                    word = ((kind, a), (kind, b), (kind, c))
-                    least = min(word[s:] + word[:s] for s in range(3))
+                    _, least = canonical_cycle(((kind, a), (kind, b), (kind, c)))
                     if least not in seen:
                         seen.add(least)
                         basis.append((least, word_grade(least)))

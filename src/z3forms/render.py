@@ -13,6 +13,7 @@ identically.  The output is valid input for the expression parser:
 
 from __future__ import annotations
 
+from .forms import word_degree
 from .scalar import ONE, Scalar
 
 
@@ -45,50 +46,42 @@ def _jet_text(sym) -> str:
     return f"({text})" if sym.derivs else text
 
 
-# -- coefficient expressions ---------------------------------------------------
-
-
-def _coeff_word_key(word) -> tuple:
-    return (len(word), tuple(sym.sort_key() for sym in word))
-
-
-def render_coeff(expr) -> str:
-    parts = []
-    for word in sorted(expr.terms, key=_coeff_word_key):
-        coeff = expr.terms[word]
-        body = " ".join(_jet_text(sym) for sym in word)
-        if not body:
-            parts.append(str(coeff))
-        else:
-            parts.append(_scalar_prefix(coeff) + body)
-    return _join_terms(parts)
-
-
-# -- differential forms ---------------------------------------------------------
-
-
-def _form_letter_text(letter) -> str:
+def _letter_text(letter) -> str:
+    """A form or Grassmann letter: a jet, or a generator ``kind[index]``."""
     kind, payload = letter
     if kind == "c":
         return _jet_text(payload)
     return f"{kind}[{payload}]"
 
 
+def _render_terms(terms, key, letter_text) -> str:
+    """Terms sorted by ``key`` on their words: scalar prefix, then letters."""
+    parts = []
+    for word in sorted(terms, key=key):
+        coeff = terms[word]
+        body = " ".join(letter_text(letter) for letter in word)
+        parts.append(_scalar_prefix(coeff) + body if body else str(coeff))
+    return _join_terms(parts)
+
+
+def _coeff_word_key(word) -> tuple:
+    return (len(word), tuple(sym.sort_key() for sym in word))
+
+
 def _form_word_key(word) -> tuple:
-    degree = sum(1 if l[0] == "dx" else 2 for l in word if l[0] != "c")
-    return (degree, len(word), tuple(repr(l) for l in word))
+    return (word_degree(word), len(word), tuple(repr(l) for l in word))
+
+
+def render_coeff(expr) -> str:
+    return _render_terms(expr.terms, _coeff_word_key, _jet_text)
 
 
 def render_form(form) -> str:
-    parts = []
-    for word in sorted(form.terms, key=_form_word_key):
-        coeff = form.terms[word]
-        body = " ".join(_form_letter_text(l) for l in word)
-        if not body:
-            parts.append(str(coeff))
-        else:
-            parts.append(_scalar_prefix(coeff) + body)
-    return _join_terms(parts)
+    return _render_terms(form.terms, _form_word_key, _letter_text)
+
+
+def render_grass(elem) -> str:
+    return _render_terms(elem.terms, lambda w: (len(w), w), _letter_text)
 
 
 def render_conj_form(cf) -> str:
@@ -100,24 +93,6 @@ def render_conj_form(cf) -> str:
     if cf.is_zero():
         return "0"
     return f"delta({render_form(cf.conjugate_back())})"
-
-
-# -- Grassmann elements -----------------------------------------------------------
-
-
-def render_grass(elem) -> str:
-    parts = []
-    for word in sorted(elem.terms, key=lambda w: (len(w), w)):
-        coeff = elem.terms[word]
-        body = " ".join(f"{kind}[{idx}]" for kind, idx in word)
-        if not body:
-            parts.append(str(coeff))
-        else:
-            parts.append(_scalar_prefix(coeff) + body)
-    return _join_terms(parts)
-
-
-# -- graded matrices ----------------------------------------------------------------
 
 
 def render_matrix(mat) -> str:

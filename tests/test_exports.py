@@ -1,8 +1,16 @@
-"""The package's public names: every exported name resolves, none twice."""
+"""The package's names: every exported name resolves, none twice, and
+every module-level name is used somewhere."""
 
 from __future__ import annotations
 
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
 import z3forms
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -12,3 +20,33 @@ def test_every_exported_name_resolves():
 
 def test_exported_names_are_unique():
     assert len(z3forms.__all__) == len(set(z3forms.__all__))
+
+
+def _module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each function, class and constant a module defines."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in out if not name.startswith("__")]
+
+
+def test_every_module_level_name_is_used():
+    # A name counts as used when it appears as a word anywhere in src/,
+    # tests/ or perfbench/ outside the line that defines it.
+    words: Counter[str] = Counter()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    unused = []
+    for path in sorted((ROOT / "src" / "z3forms").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for name, line in _module_level_names(ast.parse(text)):
+            on_own_line = re.findall(rf"\b{re.escape(name)}\b", lines[line - 1])
+            if words[name] <= len(on_own_line):
+                unused.append(f"{path.name}:{name}")
+    assert unused == []
