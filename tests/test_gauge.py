@@ -35,6 +35,7 @@ from z3forms import (
     matter_field,
     pure_gauge_connection,
 )
+from z3forms.forms import redistribute_t3
 from z3forms.gauge import (
     connection_form,
     conjugate_table_by_u,
@@ -44,7 +45,6 @@ from z3forms.gauge import (
     tables_equal,
     true_curvature_table,
 )
-from z3forms.forms import redistribute_t3
 from z3forms.scalar import Scalar
 
 
