@@ -104,6 +104,16 @@ CORPUS = [
     "mat[0, j, 0; 0, 0, 1 - j; 1/2, 0, 0]",
     "d(mat[0, 1, 0; 0, 0, 0; 0, 0, 0])",
     "mat[0, 1, 0; 0, 0, 1; 1, 0, 0] mat[0, 1, 0; 0, 0, 1; 1, 0, 0]",
+    # conjugate side: barred jets, antilinear scaling, d of delta, U and
+    # Uinv runs, mu, reordered generators, cancellation
+    "delta(~f (A[1]_,2) dx[2] dx[1] dx[1])",
+    "(1 - j) delta(ddx[2] dx[1]) - delta(f g ddx[1] dx[2])",
+    "d(delta(dx[1] dx[2] dx[3]))",
+    "delta(U x[1] Uinv dx[1] dx[2] dx[3])",
+    "delta(mu f dx[1] dx[2] dx[3]) + delta(ddx[1] dx[1])",
+    "delta(f dx[1] ddx[2])",
+    "delta(f_,1 dx[3] dx[2] dx[1] + (2 + j) g ddx[3] dx[3])",
+    "delta(f dx[1] dx[2] dx[3]) - delta(f dx[1] dx[2] dx[3])",
 ]
 
 
