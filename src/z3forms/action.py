@@ -26,17 +26,16 @@ from .coeffs import CONSTANT_NAMES, CoeffExpr, JetSymbol, Word
 from .forms import Form, components
 from .gauge import Connection, abelian_connection, curvature, field_strength
 from .lincomb import LinComb, accumulate
-from .scalar import J, ONE, Scalar, ZERO, scalar
+from .scalar import ONE, Scalar, ZERO, scalar
 
 MU = JetSymbol("mu")
 
 
 @dataclass(frozen=True)
 class PairingConfig:
-    """Weight of the ddx-dx sector and the base names treated as real."""
+    """Weight of the ddx-dx sector."""
 
     mu: Scalar | None = None  # None = the formal positive symbol mu
-    real: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.mu is not None and self.mu.is_zero():
@@ -50,62 +49,29 @@ class PairingConfig:
 
 # -- conjugate-side forms ---------------------------------------------------------
 
-_MIRROR = {"dx": "delx", "ddx": "del2x"}
-_MIRROR_BACK = {v: k for k, v in _MIRROR.items()}
-
-
-def _mirrored(word: tuple, real: frozenset[str], mirror: dict[str, str]) -> tuple:
-    """Reverse a word, conjugate its symbols and rename its generators."""
-    return tuple(("c", payload.conjugated(real)) if kind == "c" else (mirror[kind], payload)
-                 for kind, payload in reversed(word))
-
-
-def _normalize_conj_word(word: tuple, coeff: Scalar) -> tuple[Scalar, tuple]:
-    """Order mixed generator pairs delx-first: del2x[k] delx[i] -> j delx[i] del2x[k]."""
-    letters = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(letters) - 1):
-            if letters[p][0] == "del2x" and letters[p + 1][0] == "delx":
-                letters[p], letters[p + 1] = letters[p + 1], letters[p]
-                coeff = coeff * J
-                changed = True
-                break
-    return coeff, tuple(letters)
-
 
 class ConjForm(LinComb):
-    """The order-reversed, conjugated image of a degree-3 form.
+    """The conjugate-side image delta(x) of a degree-3 form x.
 
-    Words run over delx[i] / del2x[k] generators with conjugated
-    coefficient symbols interleaved in reversed order.  ``real`` is part
-    of the value: it decides how ``conjugate_back`` reads the symbols.
+    It stores the canonical words of its preimage x with conjugated
+    coefficients, so the linear operations it inherits are antilinear in
+    x: delta(s x) = conj(s) delta(x).
     """
 
-    __slots__ = ("n", "commutative", "real")
+    __slots__ = ("n", "commutative")
 
-    def __init__(
-        self,
-        n: int,
-        terms: Iterable[tuple[Scalar, tuple]] = (),
-        commutative: bool = False,
-        real: frozenset[str] = frozenset(),
-    ) -> None:
-        self.n = n
-        self.commutative = commutative
-        self.real = frozenset(real)
-        acc: dict[tuple, Scalar] = {}
-        for coeff, word in terms:
-            coeff, word = _normalize_conj_word(word, coeff)
-            accumulate(acc, word, coeff)
-        self.terms = acc
+    def __init__(self, x: Form) -> None:
+        _, degree = x.grade_and_degree()
+        if x.terms and degree != 3:
+            raise ValueError("only degree-3 forms have a conjugate-side image")
+        self.n = x.n
+        self.commutative = x.commutative
+        self.terms = {w: c.conjugate() for w, c in x.terms.items()}
 
     def conjugate_back(self) -> Form:
-        """Invert the reversal/conjugation, returning the original form."""
-        items = [(c.conjugate(), _mirrored(w, self.real, _MIRROR_BACK))
-                 for w, c in self.terms.items()]
-        return Form(self.n, items, self.commutative)
+        """The preimage x of delta(x)."""
+        zero = Form.zero(self.n, self.commutative)
+        return zero._like({w: c.conjugate() for w, c in self.terms.items()})
 
     def __str__(self) -> str:
         from .render import render_conj_form
@@ -113,13 +79,9 @@ class ConjForm(LinComb):
         return render_conj_form(self)
 
 
-def conjugate_form(x: Form, real: frozenset[str] = frozenset()) -> ConjForm:
-    """Reverse words, conjugate scalars and coefficients, mirror the generators."""
-    _, degree = x.grade_and_degree()
-    if x.terms and degree != 3:
-        raise ValueError("only degree-3 forms have a conjugate-side image")
-    items = [(c.conjugate(), _mirrored(w, real, _MIRROR)) for w, c in x.terms.items()]
-    return ConjForm(x.n, items, x.commutative, real)
+def conjugate_form(x: Form) -> ConjForm:
+    """delta(x) for a degree-3 form x."""
+    return ConjForm(x)
 
 
 # -- the pairing -------------------------------------------------------------------
@@ -143,8 +105,8 @@ def scalar_product(w: Form, phi: Form, cfg: PairingConfig) -> CoeffExpr:
         raise ValueError("pairing requires forms of equal dimension and mode")
     cw, cp = components(w), components(phi)
     commutative = w.commutative
-    return (_contract(cw.T3, cp.T3, cfg.real, commutative)
-            + cfg.mu_expr(commutative) * _contract(cw.T21, cp.T21, cfg.real, commutative))
+    return (_contract(cw.T3, cp.T3, frozenset(), commutative)
+            + cfg.mu_expr(commutative) * _contract(cw.T21, cp.T21, frozenset(), commutative))
 
 
 # -- quadratic action for commuting connections -------------------------------------
@@ -161,11 +123,11 @@ def _base_names(conn: Connection) -> frozenset[str]:
 
 def lagrangian_density(conn: Connection, cfg: PairingConfig) -> CoeffExpr:
     """<Omega | Omega> for a commuting connection, as a jet polynomial."""
-    L3, L21 = lagrangian_sectors(conn, cfg)
+    L3, L21 = lagrangian_sectors(conn)
     return L3 + cfg.mu_expr(True) * L21
 
 
-def lagrangian_sectors(conn: Connection, cfg: PairingConfig) -> tuple[CoeffExpr, CoeffExpr]:
+def lagrangian_sectors(conn: Connection) -> tuple[CoeffExpr, CoeffExpr]:
     """The two orthogonal sectors (dx-triple part, ddx-dx part) of <Omega|Omega>.
 
     The second sector is returned WITHOUT its mu weight.
@@ -174,7 +136,7 @@ def lagrangian_sectors(conn: Connection, cfg: PairingConfig) -> tuple[CoeffExpr,
         raise ValueError("the quadratic Lagrangian is defined for commuting "
                          "connections")
     comps = components(curvature(conn))
-    real = cfg.real | _base_names(conn)
+    real = _base_names(conn)
     return (_contract(comps.T3, comps.T3, real, True),
             _contract(comps.T21, comps.T21, real, True))
 
@@ -422,11 +384,10 @@ class LagrangianReport:
         return self.c1 / self.c2
 
 
-def lagrangian_report(n: int, cfg: PairingConfig | None = None) -> LagrangianReport:
+def lagrangian_report(n: int) -> LagrangianReport:
     """Fit the derived Lagrangian to its quadratic normal shape, exactly."""
-    cfg = cfg or PairingConfig()
     conn = abelian_connection(n)
-    L3, L21 = lagrangian_sectors(conn, cfg)
+    L3, L21 = lagrangian_sectors(conn)
     F = field_strength(conn)
     B = CoeffExpr.zero(True)
     X = CoeffExpr.zero(True)

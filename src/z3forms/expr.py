@@ -40,7 +40,7 @@ from .coeffs import CoeffExpr, JetSymbol
 from .forms import Form, coefficient_form, ddx, dx
 from .grassmann import GrassElement
 from .matrices import GradedMatrix, eta_differential
-from .scalar import Scalar, jpow, scalar
+from .scalar import ZERO, Scalar, jpow, scalar
 
 Value = Union[Scalar, CoeffExpr, Form, GrassElement, GradedMatrix, ConjForm]
 
@@ -469,7 +469,7 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
         if k == "grass":
             raise EvalError("the differential does not act on Grassmann values")
         if k == "conj":
-            return ConjForm(v.n, (), v.commutative, v.real)  # d delta = 0
+            return v.scale(ZERO)  # d delta = 0
         return _to_form(v, ctx).d()
     if isinstance(node, DIdx):
         v = evaluate(node.arg, ctx)

@@ -407,7 +407,7 @@ def form_from_components(table: ComponentTable) -> Form:
 
 
 def redistribute_t3(
-    T3: Mapping[tuple[int, int, int], CoeffExpr], commutative: bool
+    T3: Mapping[tuple[int, int, int], CoeffExpr]
 ) -> dict[tuple[int, int, int], CoeffExpr]:
     """Spread a canonical-representative table evenly over full index triples.
 

@@ -162,10 +162,8 @@ def reference_curvature_table(conn: Connection) -> T3Table:
     return out
 
 
-def gauge_transform(conn: Connection, u_name: str = "U") -> Connection:
-    """A_i -> Uinv A_i U + Uinv derive(U, i)."""
-    if u_name != "U":
-        raise ValueError("the built-in invertible pair is named U / Uinv")
+def gauge_transform(conn: Connection) -> Connection:
+    """A_i -> Uinv A_i U + Uinv derive(U, i) with the built-in pair U / Uinv."""
     u = CoeffExpr.from_symbol(JetSymbol("U"), conn.commutative)
     uinv = CoeffExpr.from_symbol(JetSymbol("Uinv"), conn.commutative)
     coeffs = {}
@@ -215,10 +213,8 @@ def cyclic_symmetrize_raw(
     return out
 
 
-def cyclic_symmetrize(
-    T3: Mapping[tuple[int, int, int], CoeffExpr], n: int, commutative: bool
-) -> T3Table:
-    """Symmetrize a table of triples in 1..n, keys sorted.
+def cyclic_symmetrize(T3: Mapping[tuple[int, int, int], CoeffExpr]) -> T3Table:
+    """Symmetrize a table of canonical-representative triples, keys sorted.
 
     The table is redistributed over all index triples with the rotation
     phases, which preserves the form it represents.  The redistribution
@@ -226,7 +222,7 @@ def cyclic_symmetrize(
     satisfies S[k,m,i] == j S[i,k,m] and the cyclic projector would return
     it unchanged.  Projecting a raw table is ``cyclic_symmetrize_raw``.
     """
-    return dict(sorted(redistribute_t3(T3, commutative).items()))
+    return dict(sorted(redistribute_t3(T3).items()))
 
 
 def covariant_cyclic_combination(conn: Connection) -> T3Table:

@@ -364,7 +364,7 @@ def _suite_gauge(rng: random.Random, cases: int, col: _Collector) -> None:
         "ddx-sector of curvature == field strength (noncommutative)",
         tables_equal(comp.T21, F),
     )
-    S_engine = cyclic_symmetrize(comp.T3, n, False)
+    S_engine = cyclic_symmetrize(comp.T3)
     S_true = cyclic_symmetrize_raw(true_curvature_table(conn), n, False)
     col.check_true(
         "dx-sector of curvature == cubic mixed-order table (noncommutative)",
@@ -384,7 +384,7 @@ def _suite_gauge(rng: random.Random, cases: int, col: _Collector) -> None:
     col.check_true(
         "dx-sector == left-ordered quadratic table (commutative)",
         tables_equal(
-            cyclic_symmetrize(comp_ab.T3, n, True),
+            cyclic_symmetrize(comp_ab.T3),
             cyclic_symmetrize_raw(reference_curvature_table(cab), n, True),
         ),
     )
@@ -401,7 +401,7 @@ def _suite_gauge(rng: random.Random, cases: int, col: _Collector) -> None:
         "symmetrized curvature == cyclic adjoint-derivative combination "
         "(commutative)",
         tables_equal(
-            cyclic_symmetrize(comp_ab.T3, n, True),
+            cyclic_symmetrize(comp_ab.T3),
             cyclic_symmetrize_raw(covariant_cyclic_combination(cab), n, True),
         ),
     )
@@ -432,10 +432,10 @@ def _suite_gauge(rng: random.Random, cases: int, col: _Collector) -> None:
     col.check_true(
         "dx-sector transforms as Uinv (dx-sector) U (noncommutative)",
         tables_equal(
-            cyclic_symmetrize(comp_t.T3, n, False),
+            cyclic_symmetrize(comp_t.T3),
             cyclic_symmetrize_raw(
                 conjugate_table_by_u(
-                    {k: v for k, v in cyclic_symmetrize(comp.T3, n, False).items()},
+                    {k: v for k, v in cyclic_symmetrize(comp.T3).items()},
                     False,
                 ),
                 n,

@@ -205,7 +205,7 @@ def test_criterion_06_curvature_decomposition():
         # two-generator sector: the field strength, verbatim
         assert tables_equal(comp.T21, field_strength(conn))
         # three-generator sector: the mixed-order cubic table, exactly
-        lhs = cyclic_symmetrize(comp.T3, n, False)
+        lhs = cyclic_symmetrize(comp.T3)
         assert tables_equal(
             lhs, cyclic_symmetrize_raw(true_curvature_table(conn), n, False)
         ), f"n={n}: the dx-sector is not the image of the mixed-order table"
@@ -213,7 +213,7 @@ def test_criterion_06_curvature_decomposition():
         cab = abelian_connection(n)
         comp_ab = curvature_components(cab)
         assert tables_equal(
-            cyclic_symmetrize(comp_ab.T3, n, True),
+            cyclic_symmetrize(comp_ab.T3),
             cyclic_symmetrize_raw(reference_curvature_table(cab), n, True),
         ), f"n={n}: the left-ordered table misses the abelian dx-sector"
         # ... and off by a quadratic commutator artifact otherwise
@@ -253,13 +253,13 @@ def test_criterion_07_covariant_identity():
         cab = abelian_connection(n)
         comp_ab = curvature_components(cab)
         assert tables_equal(
-            cyclic_symmetrize(comp_ab.T3, n, True),
+            cyclic_symmetrize(comp_ab.T3),
             cyclic_symmetrize_raw(covariant_cyclic_combination(cab), n, True),
         ), f"n={n}: the commutative cyclic identity fails"
         # identity modulo commutators for noncommuting coefficients
         conn = generic_connection(n)
         comp = curvature_components(conn)
-        S = cyclic_symmetrize(comp.T3, n, False)
+        S = cyclic_symmetrize(comp.T3)
         comb = cyclic_symmetrize_raw(
             covariant_cyclic_combination(conn), n, False
         )
@@ -313,19 +313,19 @@ def test_criterion_08_pure_gauge():
     comp_ab = curvature_components(cab)
     comp_ab_t = curvature_components(gauge_transform(cab))
     assert tables_equal(
-        cyclic_symmetrize(comp_ab_t.T3, n, True),
+        cyclic_symmetrize(comp_ab_t.T3),
         cyclic_symmetrize_raw(
             conjugate_table_by_u(
-                dict(cyclic_symmetrize(comp_ab.T3, n, True)), True
+                dict(cyclic_symmetrize(comp_ab.T3)), True
             ),
             n,
             True,
         ),
     ), "the cubic sector does not conjugate covariantly for commuting U"
     # ... and modulo commutators otherwise
-    lhs = cyclic_symmetrize(comp_t.T3, n, False)
+    lhs = cyclic_symmetrize(comp_t.T3)
     rhs = cyclic_symmetrize_raw(
-        conjugate_table_by_u(dict(cyclic_symmetrize(comp.T3, n, False)), False),
+        conjugate_table_by_u(dict(cyclic_symmetrize(comp.T3)), False),
         n,
         False,
     )

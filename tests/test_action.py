@@ -150,9 +150,11 @@ def test_conjugate_form_requires_degree_three():
 
 
 def test_real_names_skip_barring():
+    # A conjugate value stores its preimage's words, so no symbol of an
+    # unbarred jet is barred on the way there and back.
     n = 2
     a = Form(n, [(ONE, (("c", jet("A", 1)), ("dx", 1), ("dx", 2), ("dx", 1)))])
-    cf = conjugate_form(a, real=frozenset({"A"}))
+    cf = conjugate_form(a)
     back = cf.conjugate_back()
     assert back == a
 
@@ -165,20 +167,13 @@ def test_real_names_are_part_of_a_conjugate_value():
         sym = JetSymbol(name, barred=barred)
         return coefficient_form(CoeffExpr.from_symbol(sym), n) * gens
 
-    real_a = conjugate_form(f("A"), real={"A"})
+    plain_a = conjugate_form(f("A"))
     barred_a = conjugate_form(f("A", barred=True))
-    # The same words, read back differently: A with A real, ~A otherwise.
-    assert real_a.terms == barred_a.terms
-    assert str(real_a) == "delta(A dx[1] dx[2] dx[3])"
+    assert str(plain_a) == "delta(A dx[1] dx[2] dx[3])"
     assert str(barred_a) == "delta(~A dx[1] dx[2] dx[3])"
-    assert real_a != barred_a
-    assert real_a == conjugate_form(f("A"), real=frozenset({"A"}))
-    assert hash(real_a) == hash(conjugate_form(f("A"), real=frozenset({"A"})))
-    # Values with different real sets do not combine, so neither operand's
-    # words are read back under the other's real set.
-    for combine in (lambda a, b: a + b, lambda a, b: a - b):
-        with pytest.raises(ValueError):
-            combine(barred_a, conjugate_form(f("B"), real={"A"}))
+    assert plain_a != barred_a
+    assert plain_a == conjugate_form(f("A"))
+    assert hash(plain_a) == hash(conjugate_form(f("A")))
     both = barred_a + conjugate_form(f("B"))
     assert both.conjugate_back() == f("A", barred=True) + f("B")
 
@@ -229,7 +224,7 @@ def test_lagrangian_mu_sector_is_strength_square():
     conn = abelian_connection(n)
     from z3forms.action import lagrangian_sectors
 
-    _, l21 = lagrangian_sectors(conn, PairingConfig())
+    _, l21 = lagrangian_sectors(conn)
     F = field_strength(conn)
     sf = CoeffExpr.zero(True)
     for i in range(1, n + 1):

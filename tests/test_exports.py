@@ -1,5 +1,5 @@
-"""The package's names: every exported name resolves, none twice, and
-every module-level name is used somewhere."""
+"""The package's names: every exported name resolves, none twice, every
+module-level name is used somewhere, and every parameter is read."""
 
 from __future__ import annotations
 
@@ -50,3 +50,23 @@ def test_every_module_level_name_is_used():
             if words[name] <= len(on_own_line):
                 unused.append(f"{path.name}:{name}")
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    # Dunder methods keep the signatures their protocol fixes, and self
+    # and cls are bound by the call, so neither has to read them.
+    unread = []
+    for path in sorted((ROOT / "src" / "z3forms").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            unread += [f"{path.name}:{node.name}.{p}" for p in params
+                       if p not in ("self", "cls") and p not in read]
+    assert unread == []

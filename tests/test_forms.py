@@ -345,7 +345,7 @@ def test_redistribute_preserves_class():
     for _ in range(40):
         w = rand_degree3(rng, n)
         table = components(w)
-        spread = redistribute_t3(table.T3, False)
+        spread = redistribute_t3(table.T3)
         rebuilt = Form.zero(n)
         for (i, k, m), coeff in spread.items():
             rebuilt = rebuilt + Form(

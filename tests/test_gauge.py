@@ -90,7 +90,7 @@ def test_three_generator_sector_matches_mixed_order_table():
     for n in (2, 3):
         conn = generic_connection(n)
         comp = curvature_components(conn)
-        lhs = cyclic_symmetrize(comp.T3, n, False)
+        lhs = cyclic_symmetrize(comp.T3)
         rhs = cyclic_symmetrize_raw(true_curvature_table(conn), n, False)
         assert tables_equal(lhs, rhs)
 
@@ -99,13 +99,13 @@ def test_left_ordered_table_commutative_only():
     n = 2
     conn = generic_connection(n)
     comp = curvature_components(conn)
-    lhs = cyclic_symmetrize(comp.T3, n, False)
+    lhs = cyclic_symmetrize(comp.T3)
     ref = cyclic_symmetrize_raw(reference_curvature_table(conn), n, False)
     assert not tables_equal(lhs, ref)
     cab = abelian_connection(n)
     comp_ab = curvature_components(cab)
     assert tables_equal(
-        cyclic_symmetrize(comp_ab.T3, n, True),
+        cyclic_symmetrize(comp_ab.T3),
         cyclic_symmetrize_raw(reference_curvature_table(cab), n, True),
     )
 
@@ -122,13 +122,13 @@ def test_cyclic_covariant_combination_commutative_only():
     n = 2
     conn = generic_connection(n)
     comp = curvature_components(conn)
-    S = cyclic_symmetrize(comp.T3, n, False)
+    S = cyclic_symmetrize(comp.T3)
     comb = cyclic_symmetrize_raw(covariant_cyclic_combination(conn), n, False)
     assert not tables_equal(S, comb)
     cab = abelian_connection(n)
     comp_ab = curvature_components(cab)
     assert tables_equal(
-        cyclic_symmetrize(comp_ab.T3, n, True),
+        cyclic_symmetrize(comp_ab.T3),
         cyclic_symmetrize_raw(covariant_cyclic_combination(cab), n, True),
     )
 
@@ -220,9 +220,9 @@ def test_three_sector_covariance_commutative_only():
     conn = generic_connection(n)
     comp = curvature_components(conn)
     comp_t = curvature_components(gauge_transform(conn))
-    lhs = cyclic_symmetrize(comp_t.T3, n, False)
+    lhs = cyclic_symmetrize(comp_t.T3)
     rhs = cyclic_symmetrize_raw(
-        conjugate_table_by_u(dict(cyclic_symmetrize(comp.T3, n, False)), False),
+        conjugate_table_by_u(dict(cyclic_symmetrize(comp.T3)), False),
         n,
         False,
     )
@@ -235,10 +235,10 @@ def test_three_sector_covariance_commutative_only():
         comp_ab_t.T21, conjugate_table_by_u(comp_ab.T21, True)
     )
     assert tables_equal(
-        cyclic_symmetrize(comp_ab_t.T3, n, True),
+        cyclic_symmetrize(comp_ab_t.T3),
         cyclic_symmetrize_raw(
             conjugate_table_by_u(
-                dict(cyclic_symmetrize(comp_ab.T3, n, True)), True
+                dict(cyclic_symmetrize(comp_ab.T3)), True
             ),
             n,
             True,
@@ -283,7 +283,7 @@ def test_projector_faithful_on_forms():
             gens = tuple(("dx", rng.randint(1, n)) for _ in range(3))
             w = w + Form(n, [(Scalar(rng.randint(-3, 3), rng.randint(-3, 3)), gens)])
         table = components(w).T3
-        spread = cyclic_symmetrize(table, n, False)
+        spread = cyclic_symmetrize(table)
         rebuilt = Form.zero(n)
         for (i, k, m), coeff in spread.items():
             for cw, s in coeff.terms.items():
@@ -297,7 +297,7 @@ def test_projector_faithful_on_forms():
 
 def two_pass_symmetrize(T3: Mapping[tuple, CoeffExpr], n: int, commutative: bool) -> dict:
     """Reference: redistribute over full triples, then apply the projector."""
-    return cyclic_symmetrize_raw(redistribute_t3(T3, commutative), n, commutative)
+    return cyclic_symmetrize_raw(redistribute_t3(T3), n, commutative)
 
 
 def assert_same_table(got: Mapping, want: Mapping) -> None:
@@ -310,7 +310,7 @@ def test_symmetrize_matches_two_pass_reference_on_curvature():
         for conn in (generic_connection(n), abelian_connection(n), pure_gauge_connection(n)):
             for c in (conn, gauge_transform(conn)):
                 T3 = curvature_components(c).T3
-                assert_same_table(cyclic_symmetrize(T3, n, c.commutative),
+                assert_same_table(cyclic_symmetrize(T3),
                                   two_pass_symmetrize(T3, n, c.commutative))
 
 
@@ -331,5 +331,5 @@ def raw_t3_tables(draw):
 @given(raw_t3_tables())
 def test_symmetrize_matches_two_pass_reference_generated(case):
     table, n, commutative = case
-    assert_same_table(cyclic_symmetrize(table, n, commutative),
+    assert_same_table(cyclic_symmetrize(table),
                       two_pass_symmetrize(table, n, commutative))
