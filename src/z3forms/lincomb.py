@@ -3,10 +3,10 @@
 A value is a dict ``terms`` from canonical word to nonzero Scalar plus
 the parameters its class lists in ``__slots__`` (the coefficient mode,
 the dimension, the generator count).  Only values of one class with
-equal parameters combine.  Values are frozen: a
-subclass constructor normalizes raw input into a local dict once, and
-every operation builds a new value from canonical words through
-``_like`` without normalizing again.
+equal parameters combine.  Values are frozen: a subclass constructor
+normalizes raw input into a local dict once, and every operation builds
+a new value from canonical words through ``_like`` without normalizing
+again.
 """
 
 from __future__ import annotations

@@ -434,10 +434,7 @@ def _suite_gauge(rng: random.Random, cases: int, col: _Collector) -> None:
         tables_equal(
             cyclic_symmetrize(comp_t.T3),
             cyclic_symmetrize_raw(
-                conjugate_table_by_u(
-                    {k: v for k, v in cyclic_symmetrize(comp.T3).items()},
-                    False,
-                ),
+                conjugate_table_by_u(cyclic_symmetrize(comp.T3), False),
                 n,
                 False,
             ),
