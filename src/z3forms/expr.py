@@ -1,4 +1,4 @@
-"""Expression language: tokenizer, AST, parser, evaluator, canonical printer.
+"""Expression language: lexer, AST, parser, evaluator, canonical printer.
 
 Grammar (indices 1-based; juxtaposition is multiplication):
 
@@ -23,6 +23,12 @@ Grammar (indices 1-based; juxtaposition is multiplication):
     jetlist := "_" "," int ("," int)*
     row   := expr ("," expr)*
 
+Lexing is two regular-expression calls: one search for the first
+character outside the grammar, then one ``findall`` for the lexemes,
+which the parser reads as plain strings.  No lexeme carries a position;
+the line and column of a ``ParseError`` are computed only when it is
+raised, by scanning the text again up to the lexeme it names.
+
 Evaluation promotes scalars into coefficient expressions and those into
 forms as products require; Grassmann elements and matrices only combine
 with scalars and among themselves.
@@ -33,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NoReturn, Union
 
 from .action import ConjForm, conjugate_form
 from .coeffs import CoeffExpr, JetSymbol
@@ -126,53 +132,44 @@ class MatLit:
 Node = Union[Lit, JLit, Sym, Gen, Theta, DApply, DIdx, DeltaApply, Prod, Sum, MatLit]
 
 
-# -- tokenizer -----------------------------------------------------------------------
+# -- lexer -------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<int>\d+)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<op>[*+\-()\[\]^/,;_~])"
-)
+#: The lexemes: integers, identifiers and one-character operators.  Between
+#: them only whitespace may stand; ``_BAD_CHAR_RE`` finds anything else.
+_LEXEME_RE = re.compile(r"[*+\-()\[\]^/,;_~]|\d+|[A-Za-z][A-Za-z0-9]*")
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z*+\-()\[\]^/,;_~]")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "ident" | the op character | "end"
-    text: str
-    line: int
-    col: int
+def _lex(text: str) -> list[str]:
+    """The lexemes of ``text``, then ``""`` for the end of input.
+
+    An integer lexeme is all decimal digits (``str.isdecimal``, the same
+    Unicode class as ``\\d``), an identifier starts with an ASCII letter,
+    and every other lexeme is an operator character.
+    """
+    bad = _BAD_CHAR_RE.search(text)
+    if bad is not None:
+        line, col = _line_col(text, bad.start())
+        raise ParseError(f"unexpected character {bad.group()!r}", line, col)
+    lexemes = _LEXEME_RE.findall(text)
+    lexemes.append("")
+    return lexemes
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "int":
-            tokens.append(_Token("int", lexeme, line, col))
-        elif m.lastgroup == "ident":
-            tokens.append(_Token("ident", lexeme, line, col))
-        elif m.lastgroup == "op":
-            tokens.append(_Token(lexeme, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``text[offset]``; lines end at ``\\n``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _lexeme_offset(text: str, index: int) -> int:
+    """Offset of lexeme ``index`` of ``text``; the end of input is ``len(text)``."""
+    for k, m in enumerate(_LEXEME_RE.finditer(text)):
+        if k == index:
+            return m.start()
+    return len(text)
 
 
 # -- parser ---------------------------------------------------------------------------
-
-_ATOM_START = {"int", "ident", "(", "~"}
 
 #: Deepest atom nesting the parser accepts.  Every nested construct
 #: (parentheses, ``~``, ``d(...)``, ``d[i]``, ``delta(...)``, matrix entries)
@@ -183,176 +180,150 @@ MAX_DEPTH = 100
 
 
 class _Parser:
+    """Recursive descent over the lexemes; ``pos`` indexes the next one."""
+
     def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.lexemes = _lex(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, at: int) -> NoReturn:
+        line, col = _line_col(self.text, _lexeme_offset(self.text, at))
+        raise ParseError(message, line, col)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def found(self) -> str:
+        return self.lexemes[self.pos] or "end of input"
+
+    def accept(self, op: str) -> bool:
+        """Step over the next lexeme if it is ``op``."""
+        if self.lexemes[self.pos] == op:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, op: str) -> None:
+        if not self.accept(op):
+            self.fail(f"expected {op!r}, found {self.found()!r}", self.pos)
+
+    def expect_int(self) -> int:
+        tok = self.lexemes[self.pos]
+        if not tok.isdecimal():
+            self.fail(f"expected 'int', found {self.found()!r}", self.pos)
         self.pos += 1
-        return tok
+        return int(tok)
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.next()
+    def index(self) -> int:
+        self.expect("[")
+        idx = self.expect_int()
+        self.expect("]")
+        return idx
+
+    def closed_sum(self) -> Node:
+        node = self.parse_sum()
+        self.expect(")")
+        return node
 
     def parse(self) -> Node:
         node = self.parse_sum()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        if self.lexemes[self.pos]:
+            self.fail(f"unexpected trailing {self.lexemes[self.pos]!r}", self.pos)
         return node
 
     def parse_sum(self) -> Node:
-        terms: list[tuple[str, Node]] = []
-        sign = "+"
-        if self.peek().kind == "-":
-            self.next()
-            sign = "-"
-        terms.append((sign, self.parse_prod()))
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            terms.append((op, self.parse_prod()))
-        if len(terms) == 1 and terms[0][0] == "+":
+        lexemes = self.lexemes
+        sign = "-" if self.accept("-") else "+"
+        terms = [(sign, self.parse_prod())]
+        while lexemes[self.pos] in ("+", "-"):
+            self.pos += 1
+            terms.append((lexemes[self.pos - 1], self.parse_prod()))
+        if len(terms) == 1 and sign == "+":
             return terms[0][1]
         return Sum(tuple(terms))
 
     def parse_prod(self) -> Node:
+        lexemes = self.lexemes
         factors = [self.parse_atom()]
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.next()
-                factors.append(self.parse_atom())
-            elif tok.kind in _ATOM_START:
-                factors.append(self.parse_atom())
-            else:
+            tok = lexemes[self.pos]
+            if tok == "*":
+                self.pos += 1
+            elif not (tok.isalnum() or tok in ("(", "~")):
                 break
+            factors.append(self.parse_atom())
         if len(factors) == 1:
             return factors[0]
         return Prod(tuple(factors))
 
     def parse_atom(self) -> Node:
-        tok = self.peek()
         if self.depth == MAX_DEPTH:
-            raise ParseError(
-                f"expression nested deeper than {MAX_DEPTH} levels", tok.line, tok.col
-            )
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels", self.pos)
         self.depth += 1
-        node = self._atom(tok)
+        node = self._atom()
         self.depth -= 1
         return node
 
-    def _atom(self, tok: _Token) -> Node:
-        if tok.kind == "int":
-            self.next()
-            value = Fraction(int(tok.text))
-            if self.peek().kind == "/":
-                self.next()
-                den = self.expect("int")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.line, den.col)
-                value /= int(den.text)
-            return Lit(value)
-        if tok.kind == "(":
-            self.next()
-            node = self.parse_sum()
-            self.expect(")")
-            return node
-        if tok.kind == "~":
-            self.next()
+    def _atom(self) -> Node:
+        at = self.pos
+        tok = self.lexemes[at]
+        if not (tok.isalnum() or tok in ("(", "~")):
+            self.fail(f"expected an atom, found {self.found()!r}", at)
+        self.pos += 1
+        if tok.isdecimal():
+            num = int(tok)
+            if not self.accept("/"):
+                return Lit(Fraction(num))
+            den = self.expect_int()
+            if den == 0:
+                self.fail("zero denominator", at + 2)
+            return Lit(Fraction(num, den))
+        if tok == "(":
+            return self.closed_sum()
+        if tok == "~":
             inner = self.parse_atom()
             if not isinstance(inner, Sym):
-                raise ParseError("~ applies to a symbol", tok.line, tok.col)
+                self.fail("~ applies to a symbol", at)
             return Sym(inner.name, inner.index, inner.derivs, barred=True)
-        if tok.kind == "ident":
-            return self.parse_ident_atom()
-        raise ParseError(
-            f"expected an atom, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
-
-    def parse_ident_atom(self) -> Node:
-        tok = self.next()
-        name = tok.text
-        if name == "j":
-            if self.peek().kind == "^":
-                self.next()
-                power = self.expect("int")
-                return JLit(int(power.text))
-            return JLit(1)
-        if name == "d":
-            follow = self.peek()
-            if follow.kind == "(":
-                self.next()
-                node = self.parse_sum()
-                self.expect(")")
-                return DApply(node)
-            if follow.kind == "[":
-                self.next()
-                idx = self.expect("int")
-                self.expect("]")
-                return DIdx(int(idx.text), self.parse_atom())
-            raise ParseError("d needs '(' or '[index]'", follow.line, follow.col)
-        if name == "delta":
+        if tok == "j":
+            return JLit(self.expect_int() if self.accept("^") else 1)
+        if tok == "d":
+            if self.accept("("):
+                return DApply(self.closed_sum())
+            if self.lexemes[self.pos] != "[":
+                self.fail("d needs '(' or '[index]'", self.pos)
+            return DIdx(self.index(), self.parse_atom())
+        if tok == "delta":
             self.expect("(")
-            node = self.parse_sum()
-            self.expect(")")
-            return DeltaApply(node)
-        if name == "mat":
-            return self.parse_matrix(tok)
-        if name in _GENERATOR_KINDS or name in _THETA_KINDS:
-            self.expect("[")
-            idx = self.expect("int")
-            self.expect("]")
-            if name in _GENERATOR_KINDS:
-                return Gen(name, int(idx.text))
-            return Theta(name, int(idx.text))
-        index: int | None = None
-        if self.peek().kind == "[":
-            self.next()
-            idx = self.expect("int")
-            self.expect("]")
-            index = int(idx.text)
+            return DeltaApply(self.closed_sum())
+        if tok == "mat":
+            return self.parse_matrix(at)
+        if tok in _GENERATOR_KINDS:
+            return Gen(tok, self.index())
+        if tok in _THETA_KINDS:
+            return Theta(tok, self.index())
+        index = self.index() if self.lexemes[self.pos] == "[" else None
         derivs: tuple[int, ...] = ()
-        if self.peek().kind == "_":
-            self.next()
+        if self.accept("_"):
             self.expect(",")
-            parts = [int(self.expect("int").text)]
-            while self.peek().kind == ",":
-                self.next()
-                parts.append(int(self.expect("int").text))
+            parts = [self.expect_int()]
+            while self.accept(","):
+                parts.append(self.expect_int())
             derivs = tuple(parts)
-        return Sym(name, index, derivs)
+        return Sym(tok, index, derivs)
 
-    def parse_matrix(self, at: _Token) -> MatLit:
+    def parse_matrix(self, at: int) -> MatLit:
         self.expect("[")
         rows: list[tuple[Node, ...]] = []
         while True:
             row = [self.parse_sum()]
-            while self.peek().kind == ",":
-                self.next()
+            while self.accept(","):
                 row.append(self.parse_sum())
             rows.append(tuple(row))
-            tok = self.peek()
-            if tok.kind == ";":
-                self.next()
-                continue
-            self.expect("]")
-            break
+            if not self.accept(";"):
+                break
+        self.expect("]")
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ParseError("matrix literal must be 3x3", at.line, at.col)
+            self.fail("matrix literal must be 3x3", at)
         return MatLit(tuple(rows))
 
 
