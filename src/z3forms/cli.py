@@ -38,10 +38,10 @@ from .expr import (
     parse as parse_expr,
     print_canonical,
 )
+from .forms import components
 from .gauge import (
     abelian_connection,
     curvature,
-    curvature_components,
     generic_connection,
     pure_gauge_connection,
 )
@@ -165,7 +165,7 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     conn = _make_connection(args.gauge, args.dim)
     omega = curvature(conn)
     text = print_canonical(omega)
-    comps = curvature_components(conn)
+    comps = components(omega)
     payload = {
         "dim": args.dim,
         "gauge": args.gauge,
