@@ -6,9 +6,9 @@ coefficients from Q(j).  Supports:
 
 * a commutative and a noncommutative mode (words are kept sorted in the
   commutative mode, order-preserved otherwise);
-* the distinguished invertible pair ``U`` / ``Uinv`` whose adjacent
-  products cancel and whose derivative is eagerly rewritten via
-  ``derive(Uinv, m) == -Uinv * derive(U, m) * Uinv``;
+* the distinguished invertible pair ``U`` / ``Uinv`` (neither takes an
+  index) whose adjacent products cancel and whose derivative is eagerly
+  rewritten via ``derive(Uinv, m) == -Uinv * derive(U, m) * Uinv``;
 * coordinate symbols ``x[i]`` with ``derive(x[i], q)`` equal to 1 when
   ``q == i`` and 0 otherwise;
 * conjugation as an antiautomorphism: words reverse, scalars conjugate,
@@ -33,6 +33,9 @@ COORDINATE_BASE = "x"
 #: ``mu`` is the positive weight of the two-generator pairing sector.
 CONSTANT_NAMES = frozenset({"mu"})
 
+#: Base names of the invertible pairs.
+_PAIR_NAMES = frozenset(n for pair in INVERSE_PAIRS for n in pair)
+
 
 class JetSymbol(tuple):
     """A formal jet: base symbol, optional index, sorted derivative indices.
@@ -54,6 +57,9 @@ class JetSymbol(tuple):
         barred: bool = False,
     ) -> JetSymbol:
         derivs = tuple(sorted(derivs))
+        if name in _PAIR_NAMES and index is not None:
+            raise ValueError(f"{name} takes no index: U and Uinv are one "
+                             "invertible pair")
         if name == "Uinv" and derivs:
             raise ValueError(
                 "jets of Uinv never survive normalization; use derive() instead"
@@ -121,9 +127,6 @@ def jet(name: str, index: int | None = None, derivs: Iterable[int] = ()) -> JetS
 Word = tuple[JetSymbol, ...]
 
 
-#: Base names of the invertible pairs.
-_PAIR_NAMES = frozenset(n for pair in INVERSE_PAIRS for n in pair)
-
 #: Each bare letter of an invertible pair -> the letter it cancels against.
 _INVERSE = {
     JetSymbol(a, barred=barred): JetSymbol(b, barred=barred)
@@ -156,7 +159,7 @@ def _cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
     """
     counts: dict[tuple[str, bool], int] = {}
     for s in letters:
-        if s.name in _PAIR_NAMES and not s.derivs and s.index is None:
+        if s.name in _PAIR_NAMES and not s.derivs:
             key = (s.name, s.barred)
             counts[key] = counts.get(key, 0) + 1
     drop: dict[tuple[str, bool], int] = {}
@@ -170,7 +173,7 @@ def _cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
     out = []
     for s in letters:
         key = (s.name, s.barred)
-        if drop.get(key) and not s.derivs and s.index is None:
+        if drop.get(key) and not s.derivs:
             drop[key] -= 1
         else:
             out.append(s)
@@ -253,10 +256,10 @@ class CoeffExpr(LinComb):
         """Formal partial derivative: a derivation over word concatenation.
 
         Each term changes one letter of a canonical word.  A jet in place of
-        its letter, or ``Uinv U_,m Uinv`` in place of a bare ``Uinv``,
-        creates no cancelling pair, so such a word is only re-sorted in the
-        commutative mode.  Dropping a coordinate can bring ``U`` next to
-        ``Uinv`` (``U x[m] Uinv``), so that word is normalized.
+        its letter, or ``Uinv U_,m Uinv`` in place of ``Uinv``, creates no
+        cancelling pair, so such a word is only re-sorted in the commutative
+        mode.  Dropping a coordinate can bring ``U`` next to ``Uinv``
+        (``U x[m] Uinv``), so that word is normalized.
         """
         commutative = self.commutative
         acc: dict[Word, Scalar] = {}
@@ -267,20 +270,16 @@ class CoeffExpr(LinComb):
                     continue  # constants differentiate to zero
                 head, tail = word[:pos], word[pos + 1 :]
                 if name == COORDINATE_BASE and index is not None:
-                    if index != m:
-                        continue
-                    new, c, canonical = head + tail, coeff, False
-                elif name == "Uinv":
+                    if index == m:
+                        accumulate(acc, normalize_word(head + tail, commutative), coeff)
+                    continue
+                if name == "Uinv":
                     uinv = JetSymbol("Uinv", barred=barred)
                     du = JetSymbol("U", derivs=(m,), barred=barred)
                     new, c = head + (uinv, du, uinv) + tail, -coeff
-                    # An indexed Uinv loses its index, which can make it cancel.
-                    canonical = index is None
                 else:
-                    new, c, canonical = head + (sym.with_deriv(m),) + tail, coeff, True
-                if not canonical:
-                    new = normalize_word(new, commutative)
-                elif commutative:
+                    new, c = head + (sym.with_deriv(m),) + tail, coeff
+                if commutative:
                     new = tuple(sorted(new, key=JetSymbol.sort_key))
                 accumulate(acc, new, c)
         return self._like(acc)

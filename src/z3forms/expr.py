@@ -207,11 +207,18 @@ class _Parser:
             self.fail(f"expected {op!r}, found {self.found()!r}", self.pos)
 
     def expect_int(self) -> int:
-        tok = self.lexemes[self.pos]
-        if not tok.isdecimal():
-            self.fail(f"expected 'int', found {self.found()!r}", self.pos)
+        at = self.pos
+        if not self.lexemes[at].isdecimal():
+            self.fail(f"expected 'int', found {self.found()!r}", at)
         self.pos += 1
-        return int(tok)
+        return self.int_at(at)
+
+    def int_at(self, at: int) -> int:
+        """The value of the decimal lexeme at ``at``."""
+        try:
+            return int(self.lexemes[at])
+        except ValueError:  # more digits than int() converts
+            self.fail("integer literal too long", at)
 
     def index(self) -> int:
         self.expect("[")
@@ -270,7 +277,7 @@ class _Parser:
             self.fail(f"expected an atom, found {self.found()!r}", at)
         self.pos += 1
         if tok.isdecimal():
-            num = int(tok)
+            num = self.int_at(at)
             if not self.accept("/"):
                 return Lit(Fraction(num))
             den = self.expect_int()

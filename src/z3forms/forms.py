@@ -29,6 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .coeffs import CoeffExpr, JetSymbol, normalize_word
@@ -68,18 +71,33 @@ def canonical_cycle(triple: tuple, phase_step: int = 1) -> tuple[Scalar, tuple] 
     return (jpow(phase_step * rotations.index(least)), least)
 
 
-def _canonical_generators(gens: list[Letter]) -> tuple[Scalar, tuple[Letter, ...]] | None:
-    """Canonicalize the generator part of a degree-3 word; None means zero."""
+@lru_cache(maxsize=4096)
+def _canonical_generators(
+    gens: tuple[Letter, ...]
+) -> tuple[Scalar, tuple[Letter, ...]] | None:
+    """Canonicalize the generator part of a degree-3 word; None means zero.
+
+    Memoized: ``normalize_form_word`` and ``Form.d`` call it for every
+    degree-3 term, and dimension n has only n^3 + 3n^2 such generator words.
+    """
     kinds = tuple(g[0] for g in gens)
     if kinds == ("dx", "dx", "dx"):
-        return canonical_cycle(tuple(gens))
+        return canonical_cycle(gens)
     if kinds == ("ddx", "dx"):
-        return (ONE, tuple(gens))
+        return (ONE, gens)
     if kinds == ("dx", "ddx"):
         return (J, (gens[1], gens[0]))
     if kinds == ("ddx", "ddx"):
         return None
     raise AssertionError(f"impossible degree-3 generator pattern {kinds}")
+
+
+def _joined(runs: list[FormWord], commutative: bool) -> FormWord:
+    """The coefficient runs of a degree-3 word joined into its one run."""
+    if len(runs) < 2:
+        return runs[0] if runs else ()
+    syms = normalize_word([l[1] for run in runs for l in run], commutative)
+    return tuple(("c", s) for s in syms)
 
 
 def _normalize_runs(word: FormWord, commutative: bool) -> FormWord:
@@ -111,15 +129,11 @@ def normalize_form_word(
     if degree > 3:
         return []
     if degree == 3:
-        coeff_syms = [l[1] for l in word if l[0] == "c"]
-        gens = [l for l in word if l[0] != "c"]
-        got = _canonical_generators(gens)
+        got = _canonical_generators(tuple(l for l in word if l[0] != "c"))
         if got is None:
             return []
-        phase, gen_word = got
-        run = normalize_word(tuple(coeff_syms), commutative)  # type: ignore[arg-type]
-        collapsed = tuple(("c", s) for s in run) + gen_word
-        return [(phase, collapsed)]
+        run = normalize_word([l[1] for l in word if l[0] == "c"], commutative)
+        return [(got[0], tuple(("c", s) for s in run) + got[1])]
     return [(ONE, _normalize_runs(word, commutative))]
 
 
@@ -182,28 +196,33 @@ class Form(LinComb):
     def d(self) -> Form:
         """The graded differential (block-atomic on coefficient runs).
 
-        Every term of ``d`` has one degree more than its word: words of
-        degree 3 contribute nothing, and below degree 2 a new term is
-        already canonical.  A derived run is normalized by ``derive`` and
-        sits between a generator (or the start) and ``dx[q]``, so every run
-        stays maximal; ``dx -> ddx`` changes no run.  Words of degree 2 go
-        to ``_d_top``.
+        One walk over each word visits every maximal coefficient run and
+        every generator once.  Each new term has one degree more than its
+        word, so words of degree 3 contribute nothing.  Below degree 3 a
+        new term is canonical as built: a derived run is normalized by
+        ``derive`` and sits between a generator (or the start) and
+        ``dx[q]``, so every run stays maximal; ``dx -> ddx`` changes no
+        run.  A new term of degree 3 is the word's runs joined into one run
+        (normalized only when there are two or more runs), then the
+        canonical generator word; a degree-2 word is split into its runs
+        and generators once.
         """
         acc: dict[FormWord, Scalar] = {}
         # Per run: [(coefficient, derived run, dx[q])] over q, computed once.
         derived: dict[FormWord, list[tuple[Scalar, FormWord, Letter]]] = {}
-        # Per degree-3 generator tuple: (phase, canonical word) or None.
-        top_gens: dict[tuple[Letter, ...], tuple[Scalar, FormWord] | None] = {}
+        commutative = self.commutative
         for word, coeff in self.terms.items():
             degree = word_degree(word)
             if degree == 3:
                 continue
-            if degree == 2:
-                self._d_top(word, coeff, acc, derived, top_gens)
-                continue
+            top = degree == 2
+            if top:
+                runs = [tuple(run) for kind, run in groupby(word, itemgetter(0))
+                        if kind == "c"]
+                gens = tuple(l for l in word if l[0] != "c")
+                joined = _joined(runs, commutative)
             size = len(word)
-            prefix_grade = 0
-            pos = 0
+            prefix_grade = pos = r = g = 0  # grade, runs and generators before pos
             while pos < size:
                 kind, payload = word[pos]
                 end = pos + 1
@@ -214,78 +233,29 @@ class Form(LinComb):
                     after = word[end:]
                     c = coeff * jpow(prefix_grade)
                     for cc, run, dxq in self._run_derivatives(word[pos:end], derived):
-                        accumulate(acc, before + run + (dxq,) + after, c * cc)
+                        if not top:
+                            accumulate(acc, before + run + (dxq,) + after, c * cc)
+                            continue
+                        got = _canonical_generators(gens[:g] + (dxq,) + gens[g:])
+                        if got is not None:
+                            new = _joined(runs[:r] + [run] + runs[r + 1 :], commutative)
+                            accumulate(acc, new + got[1], c * cc * got[0])
+                    r += 1
                 elif kind == "dx":
-                    new = before + (("ddx", payload),) + word[end:]
-                    accumulate(acc, new, coeff * jpow(prefix_grade))
+                    c = coeff * jpow(prefix_grade)
+                    ddx = ("ddx", payload)
+                    if not top:
+                        accumulate(acc, before + (ddx,) + word[end:], c)
+                    else:
+                        got = _canonical_generators(gens[:g] + (ddx,) + gens[g + 1 :])
+                        if got is not None:
+                            accumulate(acc, joined + got[1], c * got[0])
                 # d(ddx) == 0: no term
+                if kind != "c":
+                    g += 1
                 prefix_grade += _DEGREE[kind]  # a coefficient run has grade 0
                 pos = end
         return self._like(acc)
-
-    def _d_top(
-        self,
-        word: FormWord,
-        coeff: Scalar,
-        acc: dict[FormWord, Scalar],
-        derived: dict[FormWord, list[tuple[Scalar, FormWord, Letter]]],
-        top_gens: dict[tuple[Letter, ...], tuple[Scalar, FormWord] | None],
-    ) -> None:
-        """Add the degree-3 terms of ``d(coeff * word)`` for a degree-2 word.
-
-        A degree-3 word is its runs joined into one run, then its canonical
-        generator word.  The word is split once into runs and generators;
-        the joined run is normalized only when there are two or more runs,
-        and each generator tuple is canonicalized once per ``d`` call.
-        """
-        runs: list[FormWord] = []
-        gens: list[Letter] = []
-        # Each part in word order: (run index, generators before it), or
-        # (None, generator index).
-        parts: list[tuple[int | None, int]] = []
-        for letter in word:
-            if letter[0] != "c":
-                parts.append((None, len(gens)))
-                gens.append(letter)
-            elif parts and parts[-1][0] is not None:
-                runs[-1] += (letter,)
-            else:
-                parts.append((len(runs), len(gens)))
-                runs.append((letter,))
-        gens_t = tuple(gens)
-        single = len(runs) == 1
-        commutative = self.commutative
-
-        def joined(some: list[FormWord]) -> FormWord:
-            if single:
-                return some[0]
-            syms = normalize_word([l[1] for run in some for l in run], commutative)
-            return tuple(("c", s) for s in syms)
-
-        def add(run: FormWord, new_gens: tuple[Letter, ...], c: Scalar) -> None:
-            if new_gens not in top_gens:
-                top_gens[new_gens] = _canonical_generators(new_gens)
-            got = top_gens[new_gens]
-            if got is not None:
-                accumulate(acc, run + got[1], c * got[0])
-
-        whole: FormWord | None = None  # the joined run of the word itself
-        prefix_grade = 0
-        for k, g in parts:
-            if k is not None:
-                c = coeff * jpow(prefix_grade)
-                before, after = gens_t[:g], gens_t[g:]
-                for cc, run, dxq in self._run_derivatives(runs[k], derived):
-                    add(joined(runs[:k] + [run] + runs[k + 1 :]),
-                        before + (dxq,) + after, c * cc)
-                continue
-            kind, index = gens_t[g]
-            if kind == "dx":
-                if whole is None:
-                    whole = joined(runs) if runs else ()
-                new_gens = gens_t[:g] + (("ddx", index),) + gens_t[g + 1 :]
-                add(whole, new_gens, coeff * jpow(prefix_grade))
-            prefix_grade += _DEGREE[kind]
 
     def _run_derivatives(
         self,

@@ -73,6 +73,12 @@ def forms(draw, n: int, commutative: bool, degrees=(0, 1, 2, 3), tailed=False):
     return Form(n, items, commutative)
 
 
+def mixed_forms(n: int, commutative: bool):
+    """A sum of 2-3 drawn forms, so one form can hold words of several degrees."""
+    return st.lists(forms(n, commutative), min_size=2, max_size=3).map(
+        lambda xs: sum(xs[1:], xs[0]))
+
+
 n_and_mode = st.tuples(st.integers(1, 4), st.booleans())
 
 
@@ -129,11 +135,12 @@ def assert_canonical(x: Form) -> None:
 
 
 @PROPERTY
-@given(n_and_mode.flatmap(lambda nm: forms(*nm)))
-def test_d_matches_generic_path(x):
-    got = x.d()
-    assert same_terms_in_order(got, ref_d(x))
-    assert_canonical(got)
+@given(n_and_mode.flatmap(lambda nm: st.tuples(forms(*nm), mixed_forms(*nm))))
+def test_d_matches_generic_path(pair):
+    for x in pair:
+        got = x.d()
+        assert same_terms_in_order(got, ref_d(x))
+        assert_canonical(got)
 
 
 @PROPERTY

@@ -160,6 +160,10 @@ ERRORS: list[tuple[str, list[str]]] = [
     _expr("dx[0]"),
     _expr("delta(f)"),
     _expr("d(th[1])"),
+    # indexed U and Uinv
+    _expr("U[1]"),
+    _expr("d(Uinv[1] U[1])"),
+    # integer literals too long for int()
     _expr("1" * 5000, "a 5,000-digit integer"),
     _expr("j^" + "2" * 5000, "j^ with a 5,000-digit power"),
 ]
