@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeffs import CONSTANT_NAMES, CoeffExpr, JetSymbol, Word
 from .forms import Form, components
 from .gauge import Connection, abelian_connection, curvature, field_strength
-from .lincomb import LinComb, accumulate
+from .lincomb import LinComb, accumulate, total
 from .scalar import ONE, Scalar, ZERO, scalar
 
 MU = JetSymbol("mu")
@@ -92,11 +92,8 @@ def _contract(
     real: frozenset[str], commutative: bool,
 ) -> CoeffExpr:
     """Sum over the keys of both sector tables of conj(a[key]) * b[key]."""
-    acc = CoeffExpr.zero(commutative)
-    for key, expr in a.items():
-        if key in b:
-            acc = acc + expr.conjugate(real) * b[key]
-    return acc
+    return total(CoeffExpr.zero(commutative),
+                 (expr.conjugate(real) * b[key] for key, expr in a.items() if key in b))
 
 
 def scalar_product(w: Form, phi: Form, cfg: PairingConfig) -> CoeffExpr:
@@ -294,22 +291,16 @@ def lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
 
 
 def _laplacian(x: CoeffExpr, n: int) -> CoeffExpr:
-    acc = CoeffExpr.zero(x.commutative)
-    for q in range(1, n + 1):
-        acc = acc + x.derive(q).derive(q)
-    return acc
+    return total(CoeffExpr.zero(x.commutative),
+                 (x.derive(q).derive(q) for q in range(1, n + 1)))
 
 
 def divergence_of_strength(conn: Connection) -> dict[int, CoeffExpr]:
     """G_p = sum_m derive(F_mp, m)."""
     F = field_strength(conn)
-    out = {}
-    for p in range(1, conn.n + 1):
-        acc = CoeffExpr.zero(conn.commutative)
-        for m in range(1, conn.n + 1):
-            acc = acc + F[(m, p)].derive(m)
-        out[p] = acc
-    return out
+    indices = range(1, conn.n + 1)
+    zero = CoeffExpr.zero(conn.commutative)
+    return {p: total(zero, (F[(m, p)].derive(m) for m in indices)) for p in indices}
 
 
 def reference_field_equation(conn: Connection, cfg: PairingConfig, k: int) -> CoeffExpr:
@@ -322,18 +313,12 @@ def reference_field_equation(conn: Connection, cfg: PairingConfig, k: int) -> Co
     if not conn.commutative:
         raise ValueError("the reference field equation is abelian")
     F = field_strength(conn)
-    n = conn.n
-    term1 = CoeffExpr.zero(True)
-    for m in range(1, n + 1):
-        for i in range(1, n + 1):
-            term1 = term1 + F[(m, k)].derive(i).derive(i).derive(m)
-    term2 = CoeffExpr.zero(True)
-    for i in range(1, n + 1):
-        for r in range(1, n + 1):
-            term2 = term2 + F[(i, r)].derive(i).derive(r).derive(k)
-    term3 = CoeffExpr.zero(True)
-    for i in range(1, n + 1):
-        term3 = term3 + F[(i, k)].derive(i)
+    indices = range(1, conn.n + 1)
+    zero = CoeffExpr.zero(True)
+    pairs = list(product(indices, repeat=2))
+    term1 = total(zero, (F[(m, k)].derive(i).derive(i).derive(m) for m, i in pairs))
+    term2 = total(zero, (F[(i, r)].derive(i).derive(r).derive(k) for i, r in pairs))
+    term3 = total(zero, (F[(i, k)].derive(i) for i in indices))
     mu34 = cfg.mu_expr(True).scale(scalar(Fraction(3, 4)))
     return term1 - term2 + mu34 * term3
 
@@ -389,17 +374,14 @@ def lagrangian_report(n: int) -> LagrangianReport:
     conn = abelian_connection(n)
     L3, L21 = lagrangian_sectors(conn)
     F = field_strength(conn)
-    B = CoeffExpr.zero(True)
-    X = CoeffExpr.zero(True)
-    SF = CoeffExpr.zero(True)
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            SF = SF + F[(i, k)] * F[(i, k)]
-            for m in range(1, n + 1):
-                dif = F[(m, k)].derive(i)
-                dkf = F[(m, i)].derive(k)
-                B = B + dif * dif
-                X = X + dif * dkf
+    indices = range(1, n + 1)
+    zero = CoeffExpr.zero(True)
+    SF = total(zero, (F[ik] * F[ik] for ik in product(indices, repeat=2)))
+    triples = list(product(indices, repeat=3))
+    # dF[(m, k, i)] = derive(F_mk, i), each computed once.
+    dF = {(m, k, i): F[(m, k)].derive(i) for m, k, i in triples}
+    B = total(zero, (dF[(m, k, i)] * dF[(m, k, i)] for i, k, m in triples))
+    X = total(zero, (dF[(m, k, i)] * dF[(m, i, k)] for i, k, m in triples))
     half = scalar(Fraction(1, 2))
     degenerate = (X - B.scale(half)).is_zero()
     failed = LagrangianReport(n, ZERO, ZERO, ZERO, exact=False,

@@ -15,7 +15,8 @@ verify SUITE [--seed S] [--cases N]
 
 Every command accepts ``--json``.  Exit codes: 0 success, 1 verification
 failure, 2 usage or parse error.  The default dimension comes from the
-Z3FORMS_DIM environment variable (fallback 4).
+Z3FORMS_DIM environment variable (fallback 4); like ``--dim``, it must
+be a positive integer.
 """
 
 from __future__ import annotations
@@ -49,15 +50,16 @@ from .scalar import scalar
 from .verify import SUITES, run_verify
 
 
-def _default_dim() -> int:
-    raw = os.environ.get("Z3FORMS_DIM", "4")
+def _dimension(text: str) -> int:
+    """A dimension from ``--dim`` or ``Z3FORMS_DIM``: a positive integer."""
     try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-        return value
+        value = int(text)
     except ValueError:
-        raise SystemExit(f"z3forms: invalid Z3FORMS_DIM {raw!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"dimension must be a positive integer, got {text!r}")
+    return value
 
 
 @functools.lru_cache(maxsize=16)
@@ -65,7 +67,7 @@ def _build_parser(default_dim: int) -> argparse.ArgumentParser:
     """The argument parser for one default dimension, built once and reused.
 
     Parsing leaves a parser unchanged, so every call may share it; the
-    environment is still read by ``_default_dim`` on each call.
+    environment is still read and checked by ``main`` on each call.
     """
     top = argparse.ArgumentParser(
         prog="z3forms",
@@ -74,7 +76,7 @@ def _build_parser(default_dim: int) -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dim", type=int, default=default_dim,
+        p.add_argument("--dim", type=_dimension, default=default_dim,
                        help=f"generator index range (default {default_dim})")
         p.add_argument("--json", action="store_true", help="JSON output")
 
@@ -221,8 +223,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser(_default_dim())
-    args = parser.parse_args(argv)
+    try:
+        default_dim = _dimension(os.environ.get("Z3FORMS_DIM", "4"))
+    except argparse.ArgumentTypeError as exc:
+        print(f"z3forms: invalid Z3FORMS_DIM: {exc}", file=sys.stderr)
+        return 2
+    args = _build_parser(default_dim).parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, EvalError, ValueError) as exc:

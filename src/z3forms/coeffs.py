@@ -154,27 +154,18 @@ def _cancel_adjacent(letters: list[JetSymbol]) -> list[JetSymbol]:
 def _cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
     """Commutative-mode cancellation: pair off bare U with bare Uinv countwise.
 
-    Bare letters with the same name and bar flag are equal, and the caller
-    sorts the result, so it does not matter which copies are dropped.
+    Each bare letter (a key of ``_INVERSE``) loses as many copies as it can
+    pair with its inverse.  The caller sorts the result, so it does not
+    matter which copies are dropped.
     """
-    counts: dict[tuple[str, bool], int] = {}
-    for s in letters:
-        if s.name in _PAIR_NAMES and not s.derivs:
-            key = (s.name, s.barred)
-            counts[key] = counts.get(key, 0) + 1
-    drop: dict[tuple[str, bool], int] = {}
-    for left, right in INVERSE_PAIRS:
-        for barred in (False, True):
-            pairs = min(counts.get((left, barred), 0), counts.get((right, barred), 0))
-            if pairs:
-                drop[(left, barred)] = drop[(right, barred)] = pairs
+    drop = {s: min(letters.count(s), letters.count(inv)) for s, inv in _INVERSE.items()
+            if s in letters and inv in letters}
     if not drop:
         return letters
     out = []
     for s in letters:
-        key = (s.name, s.barred)
-        if drop.get(key) and not s.derivs:
-            drop[key] -= 1
+        if drop.get(s):
+            drop[s] -= 1
         else:
             out.append(s)
     return out

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
 from .coeffs import CoeffExpr, JetSymbol
@@ -39,6 +40,7 @@ from .forms import (
     dx,
     redistribute_t3,
 )
+from .lincomb import total
 from .scalar import J, J2, ONE, scalar
 
 T3Table = dict[tuple[int, int, int], CoeffExpr]
@@ -91,10 +93,10 @@ def pure_gauge_connection(n: int, commutative: bool = False) -> Connection:
 
 
 def connection_form(conn: Connection) -> Form:
-    out = Form.zero(conn.n, conn.commutative)
-    for i in range(1, conn.n + 1):
-        out = out + coefficient_form(conn.a(i), conn.n) * dx(i, conn.n, conn.commutative)
-    return out
+    n, commutative = conn.n, conn.commutative
+    return total(Form.zero(n, commutative),
+                 (coefficient_form(conn.a(i), n) * dx(i, n, commutative)
+                  for i in range(1, n + 1)))
 
 
 def matter_field(n: int, commutative: bool = False, name: str = "Phi") -> Form:
@@ -120,27 +122,19 @@ def curvature_components(conn: Connection) -> ComponentTable:
 
 def field_strength(conn: Connection) -> T21Table:
     """F_ik = derive(A_k, i) - derive(A_i, k) + A_i A_k - A_k A_i."""
-    out: T21Table = {}
-    for i in range(1, conn.n + 1):
-        for k in range(1, conn.n + 1):
-            ai, ak = conn.a(i), conn.a(k)
-            out[(i, k)] = ak.derive(i) - ai.derive(k) + ai * ak - ak * ai
-    return out
+    a = conn.coefficients
+    return {(i, k): total(a[k].derive(i), (-a[i].derive(k), a[i] * a[k], -(a[k] * a[i])))
+            for i, k in product(range(1, conn.n + 1), repeat=2)}
 
 
 def true_curvature_table(conn: Connection) -> T3Table:
     """The raw cubic table whose canonical image is the curvature dx-sector."""
     out: T3Table = {}
-    for i in range(1, conn.n + 1):
-        for k in range(1, conn.n + 1):
-            for m in range(1, conn.n + 1):
-                ai, ak, am = conn.a(i), conn.a(k), conn.a(m)
-                out[(i, k, m)] = (
-                    am.derive(k).derive(i)
-                    + ak.derive(i) * am
-                    - (ai * am.derive(k)).scale(J2)
-                    + ai * ak * am
-                )
+    for i, k, m in product(range(1, conn.n + 1), repeat=3):
+        ai, ak, am = conn.a(i), conn.a(k), conn.a(m)
+        dkm = am.derive(k)
+        out[(i, k, m)] = total(dkm.derive(i), (ak.derive(i) * am,
+                                               -(ai * dkm).scale(J2), ai * ak * am))
     return out
 
 
@@ -151,14 +145,10 @@ def reference_curvature_table(conn: Connection) -> T3Table:
     commute; differs by commutator terms otherwise.
     """
     out: T3Table = {}
-    for i in range(1, conn.n + 1):
-        for k in range(1, conn.n + 1):
-            for m in range(1, conn.n + 1):
-                ai, ak, am = conn.a(i), conn.a(k), conn.a(m)
-                dkm = am.derive(k)
-                out[(i, k, m)] = (
-                    dkm.derive(i) + ai * dkm - dkm * ai + ai * ak * am
-                )
+    for i, k, m in product(range(1, conn.n + 1), repeat=3):
+        ai, ak, am = conn.a(i), conn.a(k), conn.a(m)
+        dkm = am.derive(k)
+        out[(i, k, m)] = total(dkm.derive(i), (ai * dkm, -(dkm * ai), ai * ak * am))
     return out
 
 
@@ -177,19 +167,9 @@ def covariant_derivative_F(conn: Connection) -> T3Table:
 
     Entry (i, k, m) holds D_i F_km = derive(F_km, i) + A_i F_km - F_km A_i.
     """
-    F = field_strength(conn)
-    out: T3Table = {}
-    for i in range(1, conn.n + 1):
-        ai = conn.a(i)
-        for k in range(1, conn.n + 1):
-            for m in range(1, conn.n + 1):
-                f = F[(k, m)]
-                out[(i, k, m)] = f.derive(i) + ai * f - f * ai
-    return out
-
-
-def _rot(t: tuple[int, int, int]) -> tuple[int, int, int]:
-    return (t[1], t[2], t[0])
+    a, F = conn.coefficients, field_strength(conn)
+    return {(i, k, m): total(F[(k, m)].derive(i), (a[i] * F[(k, m)], -(F[(k, m)] * a[i])))
+            for i, k, m in product(range(1, conn.n + 1), repeat=3)}
 
 
 def cyclic_symmetrize_raw(
@@ -199,17 +179,11 @@ def cyclic_symmetrize_raw(
     third = scalar(Fraction(1, 3))
     out: T3Table = {}
     zero = CoeffExpr.zero(commutative)
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            for m in range(1, n + 1):
-                t = (i, k, m)
-                val = (
-                    table.get(t, zero)
-                    + table.get(_rot(t), zero).scale(J2)
-                    + table.get(_rot(_rot(t)), zero).scale(J)
-                ).scale(third)
-                if not val.is_zero():
-                    out[t] = val
+    for i, k, m in product(range(1, n + 1), repeat=3):
+        rotated = (table.get((k, m, i), zero).scale(J2), table.get((m, i, k), zero).scale(J))
+        val = total(table.get((i, k, m), zero), rotated).scale(third)
+        if not val.is_zero():
+            out[(i, k, m)] = val
     return out
 
 
@@ -233,29 +207,20 @@ def covariant_cyclic_combination(conn: Connection) -> T3Table:
     DF = covariant_derivative_F(conn)
     third = scalar(Fraction(1, 3))
     out: T3Table = {}
-    for i in range(1, conn.n + 1):
-        for k in range(1, conn.n + 1):
-            for m in range(1, conn.n + 1):
-                val = (DF[(i, m, k)].scale(J) + DF[(k, m, i)].scale(J2)).scale(third)
-                if not val.is_zero():
-                    out[(i, k, m)] = val
+    for i, k, m in product(range(1, conn.n + 1), repeat=3):
+        val = (DF[(i, m, k)].scale(J) + DF[(k, m, i)].scale(J2)).scale(third)
+        if not val.is_zero():
+            out[(i, k, m)] = val
     return out
 
 
 def tables_equal(
     a: Mapping[tuple, CoeffExpr], b: Mapping[tuple, CoeffExpr]
 ) -> bool:
-    for key in set(a) | set(b):
-        av, bv = a.get(key), b.get(key)
-        if av is None:
-            if not bv.is_zero():  # type: ignore[union-attr]
-                return False
-        elif bv is None:
-            if not av.is_zero():
-                return False
-        elif not (av - bv).is_zero():
-            return False
-    return True
+    """Entrywise equality; a missing entry counts as zero."""
+    return all((a[key] - b[key]).is_zero() if key in a and key in b
+               else a.get(key, b.get(key)).is_zero()  # type: ignore[union-attr]
+               for key in set(a) | set(b))
 
 
 def conjugate_table_by_u(

@@ -6,12 +6,13 @@ the dimension, the generator count).  Only values of one class with
 equal parameters combine.  Values are frozen: a subclass constructor
 normalizes raw input into a local dict once, and every operation builds
 a new value from canonical words through ``_like`` without normalizing
-again.
+again.  ``total`` is the one sum: it adds any number of values into one
+dict, and ``+`` is its one-value case.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .scalar import Scalar
 
@@ -24,6 +25,20 @@ def accumulate(terms: dict, word: object, coeff: Scalar) -> None:
         terms.pop(word, None)
     else:
         terms[word] = val
+
+
+def total(start: LinComb, values: Iterable[LinComb]) -> LinComb:
+    """``start`` plus every value, accumulated into one dict.
+
+    Each value must pass ``start._check``.  Terms are inserted in the order
+    a chain of ``+`` gives them.
+    """
+    terms = dict(start.terms)
+    for value in values:
+        start._check(value)
+        for word, coeff in value.terms.items():
+            accumulate(terms, word, coeff)
+    return start._like(terms)
 
 
 class LinComb:
@@ -65,11 +80,7 @@ class LinComb:
                 for w2, c2 in other.terms.items()]
 
     def __add__(self, other: LinComb) -> LinComb:
-        self._check(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            accumulate(terms, word, coeff)
-        return self._like(terms)
+        return total(self, (other,))
 
     def __sub__(self, other: LinComb) -> LinComb:
         return self + -other

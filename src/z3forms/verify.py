@@ -21,6 +21,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from .action import (
@@ -152,19 +153,17 @@ def _rand_scalar(rng: random.Random, span: int = 6) -> Scalar:
 
 
 def _rand_form(rng: random.Random, n: int, max_degree: int = 2) -> Form:
-    out = Form.zero(n)
     shapes: list[tuple[str, ...]] = [(), ("dx",), ("ddx",), ("dx", "dx")]
     shapes = [s for s in shapes if sum(1 if t == "dx" else 2 for t in s) <= max_degree]
+    items = []
     for _ in range(rng.randint(1, 3)):
         word: list = []
         for kind in rng.choice(shapes):
-            for sym in _rand_word_run(rng):
-                word.append(("c", sym))
+            word += [("c", sym) for sym in _rand_word_run(rng)]
             word.append((kind, rng.randint(1, n)))
-        for sym in _rand_word_run(rng):
-            word.append(("c", sym))
-        out = out + Form(n, [(_rand_scalar(rng, 3), tuple(word))])
-    return out
+        word += [("c", sym) for sym in _rand_word_run(rng)]
+        items.append((_rand_scalar(rng, 3), tuple(word)))
+    return Form(n, items)
 
 
 def _rand_word_run(rng: random.Random) -> tuple[JetSymbol, ...]:
@@ -173,14 +172,14 @@ def _rand_word_run(rng: random.Random) -> tuple[JetSymbol, ...]:
 
 
 def _rand_grass(rng: random.Random, N: int) -> GrassElement:
-    out = GrassElement(N)
+    items = []
     for _ in range(rng.randint(1, 3)):
         length = rng.randint(0, 3)
         word = tuple(
             (rng.choice(("th", "bth")), rng.randint(1, N)) for _ in range(length)
         )
-        out = out + GrassElement(N, [(_rand_scalar(rng, 3), word)])
-    return out
+        items.append((_rand_scalar(rng, 3), word))
+    return GrassElement(N, items)
 
 
 def _rand_matrix(rng: random.Random) -> GradedMatrix:
@@ -244,11 +243,9 @@ def _suite_grassmann(rng: random.Random, cases: int, col: _Collector) -> None:
         col.check_zero(f"th[{i}]^3", cube)
         cube_b = GrassElement.word(N, (("bth", i),) * 3)
         col.check_zero(f"bth[{i}]^3", cube_b)
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            for c in range(1, N + 1):
-                mixed = GrassElement.word(N, (("th", a), ("th", b), ("bth", c)))
-                col.check_zero(f"th[{a}] th[{b}] bth[{c}]", mixed)
+    for a, b, c in product(range(1, N + 1), repeat=3):
+        mixed = GrassElement.word(N, (("th", a), ("th", b), ("bth", c)))
+        col.check_zero(f"th[{a}] th[{b}] bth[{c}]", mixed)
     for t in range(cases):
         x, y, z = (_rand_grass(rng, N) for _ in range(3))
         col.check_zero(f"assoc#{t}", (x * y) * z - x * (y * z))
@@ -289,15 +286,11 @@ def _suite_matrix(rng: random.Random, cases: int, col: _Collector) -> None:
 
 def _worked_example_checks(col: _Collector) -> None:
     n = 3
+    indices = range(1, n + 1)
     f = coefficient_form(CoeffExpr.from_symbol(jet("f")), n)
-    rhs = Form.zero(n)
-    for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            rhs = rhs + Form(
-                n, [(ONE, (("c", jet("f", derivs=(i, k))), ("dx", k), ("dx", i)))]
-            )
-    for i in range(1, n + 1):
-        rhs = rhs + Form(n, [(ONE, (("c", jet("f", derivs=(i,))), ("ddx", i)))])
+    rhs = Form(n, [(ONE, (("c", jet("f", derivs=(i, k))), ("dx", k), ("dx", i)))
+                   for k, i in product(indices, repeat=2)]
+              + [(ONE, (("c", jet("f", derivs=(i,))), ("ddx", i))) for i in indices])
     col.check_zero("d^2 f - ((f_,k,i) dx[k] dx[i] + (f_,i) ddx[i])",
                    f.d().d() - rhs)
 
@@ -306,25 +299,13 @@ def _worked_example_checks(col: _Collector) -> None:
     col.check_zero("d^2 (x[1] dx[2]) - (ddx[1] dx[2] - ddx[2] dx[1])",
                    w.d().d() - rhs_pair)
 
-    om = Form.zero(n)
-    for k in range(1, n + 1):
-        om = om + Form(n, [(ONE, (("c", jet("w", k)), ("dx", k)))])
-    rhs_two_sector = Form.zero(n)
-    for m in range(1, n + 1):
-        for i in range(1, n + 1):
-            for k in range(1, n + 1):
-                rhs_two_sector = rhs_two_sector + Form(
-                    n,
-                    [(ONE, (("c", jet("w", k, (i, m))), ("dx", m), ("dx", i), ("dx", k)))],
-                )
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            rhs_two_sector = rhs_two_sector + Form(
-                n, [(ONE, (("c", jet("w", k, (i,))), ("ddx", i), ("dx", k)))]
-            )
-            rhs_two_sector = rhs_two_sector + Form(
-                n, [(-ONE, (("c", jet("w", i, (k,))), ("ddx", i), ("dx", k)))]
-            )
+    om = Form(n, [(ONE, (("c", jet("w", k)), ("dx", k))) for k in indices])
+    two_sector = [(ONE, (("c", jet("w", k, (i, m))), ("dx", m), ("dx", i), ("dx", k)))
+                  for m, i, k in product(indices, repeat=3)]
+    for i, k in product(indices, repeat=2):
+        two_sector += [(ONE, (("c", jet("w", k, (i,))), ("ddx", i), ("dx", k))),
+                       (-ONE, (("c", jet("w", i, (k,))), ("ddx", i), ("dx", k)))]
+    rhs_two_sector = Form(n, two_sector)
     col.check_zero(
         "d^2 (w[k] dx[k]) - antisymmetric two-generator shape", om.d().d() - rhs_two_sector
     )
@@ -438,12 +419,8 @@ def _suite_gauge(rng: random.Random, cases: int, col: _Collector) -> None:
     )
     # randomized: the cyclic projector is idempotent on numeric tables
     for t in range(cases):
-        table = {
-            (i, k, m): CoeffExpr.from_scalar(_rand_scalar(rng, 3))
-            for i in range(1, n + 1)
-            for k in range(1, n + 1)
-            for m in range(1, n + 1)
-        }
+        table = {key: CoeffExpr.from_scalar(_rand_scalar(rng, 3))
+                 for key in product(range(1, n + 1), repeat=3)}
         S1 = cyclic_symmetrize_raw(table, n, False)
         S2 = cyclic_symmetrize_raw(S1, n, False)
         col.check_true(f"projector idempotent #{t}", tables_equal(S1, S2))
@@ -496,15 +473,15 @@ def _suite_action(rng: random.Random, cases: int, col: _Collector) -> None:
 
 def _rand_degree3(rng: random.Random, n: int, runs: bool = True) -> Form:
     """A degree-3 form; with ``runs`` false its coefficients are scalars."""
-    out = Form.zero(n)
+    items = []
     for _ in range(rng.randint(1, 3)):
         run = tuple(("c", s) for s in _rand_word_run(rng)) if runs else ()
         if rng.random() < 0.5:
             gens = tuple(("dx", rng.randint(1, n)) for _ in range(3))
         else:
             gens = (("ddx", rng.randint(1, n)), ("dx", rng.randint(1, n)))
-        out = out + Form(n, [(_rand_scalar(rng, 3), run + gens)])
-    return out
+        items.append((_rand_scalar(rng, 3), run + gens))
+    return Form(n, items)
 
 
 _SUITE_FUNCS: dict[str, Callable[[random.Random, int, _Collector], None]] = {

@@ -4,14 +4,15 @@
 their operands' canonical terms without normalizing the words again, and
 ``normalize_word`` returns a word with no ``U``, ``Uinv`` or constant
 letter as it is (sorted in the commutative mode).  ``derive`` normalizes
-only the words where a coordinate was dropped, and ``_cancel_adjacent``
-reduces in one stack pass.  These tests check each against a reference
-written here (the normalizing constructor on the same raw items, or the
-fixed-point cancellation loop), in both modes, with words that mix the
-invertible pair, ``mu``, barred symbols and coordinates.  The contract of
-``JetSymbol`` (a tuple with dataclass-style attributes and ``repr``) is
-checked too.  Example generation is derandomized so that every run checks
-the same cases.
+only the words where a coordinate was dropped, ``_cancel_adjacent``
+reduces in one stack pass and ``_cancel_counted`` pairs letters off by
+count.  These tests check each against a reference written here (the
+normalizing constructor on the same raw items, the fixed-point
+cancellation loop, or a loop that removes one pair at a time), in both
+modes, with words that mix the invertible pair, ``mu``, barred symbols
+and coordinates.  The contract of ``JetSymbol`` (a tuple with
+dataclass-style attributes and ``repr``) is checked too.  Example
+generation is derandomized so that every run checks the same cases.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from z3forms.coeffs import (  # noqa: E402
     CoeffExpr,
     JetSymbol,
     _cancel_adjacent,
+    _cancel_counted,
     normalize_word,
 )
 from z3forms.scalar import ONE, Scalar  # noqa: E402
@@ -252,6 +254,25 @@ letter_lists = st.recursive(st.sampled_from(CANCEL_LETTERS).map(lambda s: [s]), 
 @given(letter_lists)
 def test_cancel_adjacent_matches_fixed_point_loop(letters):
     assert _cancel_adjacent(list(letters)) == loop_cancel_adjacent(list(letters))
+
+
+def loop_cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
+    """Remove one bare U and one bare Uinv with the same bar flag while both are present."""
+    for left, right in INVERSE_PAIRS:
+        for barred in (False, True):
+            u, uinv = JetSymbol(left, barred=barred), JetSymbol(right, barred=barred)
+            while u in letters and uinv in letters:
+                letters.remove(u)
+                letters.remove(uinv)
+    return letters
+
+
+@PROPERTY
+@given(letter_lists)
+def test_cancel_counted_matches_pairwise_loop(letters):
+    key = JetSymbol.sort_key
+    assert (sorted(_cancel_counted(list(letters)), key=key)
+            == sorted(loop_cancel_counted(list(letters)), key=key))
 
 
 def test_cancel_adjacent_nested_and_barred_pairs():

@@ -1,10 +1,13 @@
 """The package's names: every exported name resolves, none twice, every
-module-level name is used somewhere, and every parameter is read."""
+module-level name is used somewhere, every parameter is read, and every
+name the benchmark's layer tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -70,3 +73,20 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.name}.{p}" for p in params
                        if p not in ("self", "cls") and p not in read]
     assert unread == []
+
+
+def test_every_traced_name_resolves():
+    # ``perfbench/run.py --trace 1`` wraps these names; a missing one breaks
+    # that run, so it fails here first.
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from layertrace import TARGETS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    missing = []
+    for _, module, cls_name, names in TARGETS:
+        mod = importlib.import_module(f"z3forms.{module}")
+        owner = vars(mod) if cls_name is None else vars(getattr(mod, cls_name))
+        missing += [f"{module}.{cls_name or ''}.{name}" for name in names
+                    if name not in owner]
+    assert missing == []

@@ -325,10 +325,14 @@ def test_cli_parser_is_reused_per_default_dimension(monkeypatch, capsys):
     assert "required" in capsys.readouterr().err
     assert main(["normalize", "-e", "dx[2] dx[1]"]) == 0
     assert capsys.readouterr().out == "dx[2] dx[1]\n"
-    # The environment is still read and checked on every call.
-    monkeypatch.setenv("Z3FORMS_DIM", "0")
-    with pytest.raises(SystemExit, match="invalid Z3FORMS_DIM"):
-        main(["normalize", "-e", "dx[1]"])
+    # The environment is still read and checked on every call: a usage error.
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("Z3FORMS_DIM", bad)
+        assert main(["normalize", "-e", "dx[1]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("z3forms: invalid Z3FORMS_DIM: dimension must be "
+                                f"a positive integer, got {bad!r}\n")
 
 
 def test_verify_reports_deterministic():

@@ -88,6 +88,8 @@ ERRORS: list[tuple[str, list[str]]] = [
     ("lagrangian --mu 1/0", ["lagrangian", "--mu", "1/0", "--dim", "2"]),
     ("normalize without -e", ["normalize", "--dim", "2"]),
     ("verify nosuch", ["verify", "nosuch"]),
+    ("normalize --dim 0", ["normalize", "-e", "f", "--dim", "0"]),
+    ("normalize --dim -1", ["normalize", "-e", "f", "--dim", "-1"]),
     # zero denominators
     _expr("1/0"),
     _expr("3/0 f dx[1]"),

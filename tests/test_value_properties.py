@@ -4,9 +4,9 @@
   evaluating it again gives the same text.  Expressions cover scalars, jet
   words, forms with ``dx``/``ddx``, ``th``/``bth`` words, ``mat[...]`` and
   ``delta(...)``, in both coefficient modes, for n = 1..4.
-* Values are frozen: ``+``, ``-``, ``scale``, ``*`` and ``d`` leave their
-  operands' terms and hashes unchanged, and equal values hash alike, for
-  ``CoeffExpr``, ``Form``, ``GrassElement`` and ``ConjForm``.
+* Values are frozen: ``+``, ``-``, ``lincomb.total``, ``scale``, ``*`` and
+  ``d`` leave their operands' terms and hashes unchanged, and equal values
+  hash alike, for ``CoeffExpr``, ``Form``, ``GrassElement`` and ``ConjForm``.
 
 Example generation is derandomized so that every run checks the same cases.
 """
@@ -31,6 +31,7 @@ from z3forms import (  # noqa: E402
     evaluate_text,
     print_canonical,
 )
+from z3forms.lincomb import total  # noqa: E402
 from z3forms.scalar import Scalar  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -195,6 +196,7 @@ def snapshot(*values) -> list[tuple[list, int]]:
 def operations(a) -> list:
     """The operations of ``a``'s class, each as a function of (a, b)."""
     out = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: -a,
+           lambda a, b: total(a, [b, -b, a]),
            lambda a, b: a.scale(Scalar(2, 1)), lambda a, b: a.scale(Scalar(0))]
     if not isinstance(a, ConjForm):
         out.append(lambda a, b: a * b)
@@ -232,7 +234,19 @@ def test_equal_values_hash_alike(kind):
         for same in (again, (a + b) - b, a.scale(Scalar(2)).scale(half), -(-a)):
             assert same == a
             assert hash(same) == hash(a)
+        summed = total(a, [b, -b, a])
+        assert summed == a + b - b + a
+        assert hash(summed) == hash(a + b - b + a)
         assert a - a == a.scale(Scalar(0))
         assert (a - a).is_zero()
 
     check()
+
+
+def test_total_rejects_mixed_classes_and_parameters():
+    with pytest.raises(TypeError):
+        total(CoeffExpr.zero(), [CoeffExpr.zero(), Form.zero(2)])
+    with pytest.raises(ValueError):
+        total(Form.zero(2), [Form.zero(2), Form.zero(3)])
+    with pytest.raises(ValueError):
+        total(CoeffExpr.zero(False), [CoeffExpr.zero(True)])
