@@ -7,10 +7,10 @@ root of unity:
 * ``grassmann`` — the ternary analogue of Grassmann algebra (cubes vanish);
 * ``matrices`` — a 3x3 graded matrix model whose differential is a graded
   commutator with a cyclic shift matrix;
-* ``lincomb`` — the shared core of the four word-combination values
-  (coefficients, forms, Grassmann elements, conjugate-side forms): a
-  frozen dict from canonical word to nonzero scalar, with the linear
-  operations, equality and hashing;
+* ``lincomb`` — the shared core of the five word-combination values
+  (coefficients, forms, Grassmann elements, graded matrices,
+  conjugate-side forms): a frozen dict from canonical word to nonzero
+  scalar, with the linear operations, equality and hashing;
 * ``coeffs`` — free (or commutative) coefficient algebra of formal jets,
   with a built-in invertible pair U / Uinv and coordinate symbols;
 * ``forms`` — differential forms with first- and second-order generators

@@ -158,15 +158,16 @@ def variational_derivative(
         for pos, sym in enumerate(word):
             if sym.name == base and sym.index in indices and not sym.barred:
                 partials.setdefault(sym, []).append((coeff, word[:pos] + word[pos + 1 :]))
-    out = {p: CoeffExpr.zero(True) for p in indices}
+    groups: dict[int, list[CoeffExpr]] = {p: [] for p in indices}
     for sym, items in partials.items():
         term = CoeffExpr(items, True)
         for q in sym.derivs:
             term = term.derive(q)
         if len(sym.derivs) % 2 == 1:
             term = term.scale(-ONE)
-        out[sym.index] = out[sym.index] + term
-    return out
+        groups[sym.index].append(term)
+    zero = CoeffExpr.zero(True)
+    return {p: total(zero, terms) for p, terms in groups.items()}
 
 
 def euler_lagrange_abelian(conn: Connection, cfg: PairingConfig) -> dict[int, CoeffExpr]:

@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .coeffs import CoeffExpr, JetSymbol, normalize_word
-from .lincomb import LinComb, accumulate
+from .lincomb import LinComb, accumulate, total
 from .scalar import J, ONE, Scalar, jpow
 
 # A form-word letter is ("c", JetSymbol) | ("dx", int) | ("ddx", int).
@@ -183,13 +183,7 @@ class Form(LinComb):
 
     def grade_and_degree(self) -> tuple[int | str, int | str]:
         """Common (grade, degree) of all terms, or "mixed"; zero form is (0, 0)."""
-        if not self.terms:
-            return (0, 0)
-        grades = {word_grade(w) for w in self.terms}
-        degrees = {word_degree(w) for w in self.terms}
-        grade: int | str = grades.pop() if len(grades) == 1 else "mixed"
-        degree: int | str = degrees.pop() if len(degrees) == 1 else "mixed"
-        return (grade, degree)
+        return (self._common(word_grade), self._common(word_degree))
 
     # -- differential ------------------------------------------------------------
 
@@ -386,13 +380,10 @@ def redistribute_t3(
     the resulting full table represents the same form.
     """
     third = Scalar(Fraction(1, 3))
-    full: dict[tuple[int, int, int], CoeffExpr] = {}
+    bumps: dict[tuple[int, int, int], list[CoeffExpr]] = {}
     for triple, expr in T3.items():
         for s in range(3):
             rotated = triple[s:] + triple[:s]
-            bump = expr.scale(jpow(s) * third)
-            if rotated in full:
-                full[rotated] = full[rotated] + bump
-            else:
-                full[rotated] = bump
+            bumps.setdefault(rotated, []).append(expr.scale(jpow(s) * third))
+    full = {k: total(v[0], v[1:]) for k, v in bumps.items()}
     return {k: v for k, v in full.items() if not v.is_zero()}

@@ -66,11 +66,11 @@ class Connection:
         return self.coefficients[i]
 
 
-def generic_connection(n: int, commutative: bool = False, base: str = "A") -> Connection:
+def generic_connection(n: int, commutative: bool = False) -> Connection:
     """Connection with one free symbol per index."""
     return Connection(
         {
-            i: CoeffExpr.from_symbol(JetSymbol(base, i), commutative)
+            i: CoeffExpr.from_symbol(JetSymbol("A", i), commutative)
             for i in range(1, n + 1)
         },
         n,
@@ -78,9 +78,9 @@ def generic_connection(n: int, commutative: bool = False, base: str = "A") -> Co
     )
 
 
-def abelian_connection(n: int, base: str = "A") -> Connection:
+def abelian_connection(n: int) -> Connection:
     """Connection with commuting coefficients."""
-    return generic_connection(n, commutative=True, base=base)
+    return generic_connection(n, commutative=True)
 
 
 def pure_gauge_connection(n: int, commutative: bool = False) -> Connection:

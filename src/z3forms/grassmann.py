@@ -104,10 +104,7 @@ class GrassElement(LinComb):
 
     def grade(self) -> int | str:
         """Common grade of all terms, "mixed" otherwise; the zero element is 0."""
-        if not self.terms:
-            return 0
-        grades = {word_grade(w) for w in self.terms}
-        return grades.pop() if len(grades) == 1 else "mixed"
+        return self._common(word_grade)
 
     def __str__(self) -> str:
         from .render import render_grass

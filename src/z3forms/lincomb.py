@@ -2,8 +2,10 @@
 
 A value is a dict ``terms`` from canonical word to nonzero Scalar plus
 the parameters its class lists in ``__slots__`` (the coefficient mode,
-the dimension, the generator count).  Only values of one class with
-equal parameters combine.  Values are frozen: a subclass constructor
+the dimension, the generator count).  The five values are ``CoeffExpr``,
+``Form``, ``GrassElement``, ``GradedMatrix`` (words ``(grade, row)``, no
+parameters) and ``ConjForm``.  Only values of one class with equal
+parameters combine.  Values are frozen: a subclass constructor
 normalizes raw input into a local dict once, and every operation builds
 a new value from canonical words through ``_like`` without normalizing
 again.  ``total`` is the one sum: it adds any number of values into one
@@ -12,7 +14,7 @@ dict, and ``+`` is its one-value case.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .scalar import Scalar
 
@@ -95,6 +97,13 @@ class LinComb:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _common(self, key: Callable[[Any], int]) -> int | str:
+        """``key(word)`` shared by every term, "mixed" if two differ, 0 without terms."""
+        values = {key(word) for word in self.terms}
+        if not values:
+            return 0
+        return values.pop() if len(values) == 1 else "mixed"
 
     def _params(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

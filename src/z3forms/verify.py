@@ -60,8 +60,6 @@ from .matrices import ETA, GradedMatrix, eta_differential, grade_of, graded_comm
 from .render import render_matrix
 from .scalar import J, J2, ONE, Scalar, ZERO, jpow, scalar
 
-SUITES = ("scalar", "grassmann", "matrix", "forms", "gauge", "action")
-
 
 @dataclass(frozen=True)
 class VerifyFailure:
@@ -492,6 +490,7 @@ _SUITE_FUNCS: dict[str, Callable[[random.Random, int, _Collector], None]] = {
     "gauge": _suite_gauge,
     "action": _suite_action,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_verify(suite: str, seed: int = 0, cases: int = 50) -> VerifyReport:

@@ -1,6 +1,7 @@
 """The package's names: every exported name resolves, none twice, every
-module-level name is used somewhere, every parameter is read, and every
-name the benchmark's layer tracer wraps exists."""
+module-level name is used somewhere, every parameter is read, every
+name the benchmark's layer tracer wraps exists, and every value type but
+``Scalar`` is built on the ``lincomb`` core."""
 
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ from collections import Counter
 from pathlib import Path
 
 import z3forms
+from z3forms.expr import _KINDS
+from z3forms.lincomb import LinComb
+from z3forms.scalar import Scalar
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,3 +94,11 @@ def test_every_traced_name_resolves():
         missing += [f"{module}.{cls_name or ''}.{name}" for name in names
                     if name not in owner]
     assert missing == []
+
+
+def test_every_word_value_is_a_lincomb():
+    # One linear structure: a value type that writes its own +, -, scale,
+    # == and hash instead of inheriting them fails here.
+    apart = [cls.__name__ for cls in _KINDS if cls is not Scalar
+             and not issubclass(cls, LinComb)]
+    assert apart == []

@@ -1,11 +1,12 @@
 """Property tests for the graded 3x3 matrix model.
 
-``GradedMatrix`` stores a matrix as its three grade components.  These
-tests check it against a dense reference written here: 3x3 rows of
-Scalars with the textbook row-by-column product, and the differential
-computed as ``ETA*B - j^g B*ETA`` on every graded part.  They also check
-``d^3 = 0`` and the graded Leibniz rule on generated matrices.  Example
-generation is derandomized so that every run checks the same cases.
+``GradedMatrix`` stores a matrix as its nonzero entries keyed by grade
+and row.  These tests check it against a dense reference written here:
+3x3 rows of Scalars with the textbook row-by-column product, and the
+differential computed as ``ETA*B - j^g B*ETA`` on every graded part.
+They also check ``d^3 = 0`` and the graded Leibniz rule on generated
+matrices.  Example generation is derandomized so that every run checks
+the same cases.
 """
 
 from __future__ import annotations

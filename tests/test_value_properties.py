@@ -1,4 +1,4 @@
-"""Property tests over generated expressions and the four word-combination values.
+"""Property tests over generated expressions and the five word-combination values.
 
 * Canonical text is a fixed point: printing a value, parsing the text and
   evaluating it again gives the same text.  Expressions cover scalars, jet
@@ -6,7 +6,8 @@
   ``delta(...)``, in both coefficient modes, for n = 1..4.
 * Values are frozen: ``+``, ``-``, ``lincomb.total``, ``scale``, ``*`` and
   ``d`` leave their operands' terms and hashes unchanged, and equal values
-  hash alike, for ``CoeffExpr``, ``Form``, ``GrassElement`` and ``ConjForm``.
+  hash alike, for ``CoeffExpr``, ``Form``, ``GrassElement``, ``GradedMatrix``
+  and ``ConjForm``.
 
 Example generation is derandomized so that every run checks the same cases.
 """
@@ -26,8 +27,10 @@ from z3forms import (  # noqa: E402
     ConjForm,
     EvalContext,
     Form,
+    GradedMatrix,
     GrassElement,
     coefficient_form,
+    eta_differential,
     evaluate_text,
     print_canonical,
 )
@@ -164,8 +167,9 @@ def test_canonical_text_is_a_fixed_point(kind):
 # -- frozen values -------------------------------------------------------------
 
 
-#: The four word-combination classes, by expression kind.
-VALUE_KINDS = {"coeff": CoeffExpr, "form": Form, "grass": GrassElement, "conj": ConjForm}
+#: The five word-combination classes, by expression kind.
+VALUE_KINDS = {"coeff": CoeffExpr, "form": Form, "grass": GrassElement,
+               "matrix": GradedMatrix, "conj": ConjForm}
 
 
 def value_pairs(kind: str):
@@ -206,6 +210,8 @@ def operations(a) -> list:
         out.append(lambda a, b: a.derive(1))
     elif isinstance(a, ConjForm):
         out.append(lambda a, b: a.conjugate_back())
+    elif isinstance(a, GradedMatrix):
+        out.append(lambda a, b: eta_differential(a))
     return out
 
 
@@ -246,6 +252,8 @@ def test_equal_values_hash_alike(kind):
 def test_total_rejects_mixed_classes_and_parameters():
     with pytest.raises(TypeError):
         total(CoeffExpr.zero(), [CoeffExpr.zero(), Form.zero(2)])
+    with pytest.raises(TypeError):
+        total(GradedMatrix.identity(), [GradedMatrix.zero(), Form.zero(2)])
     with pytest.raises(ValueError):
         total(Form.zero(2), [Form.zero(2), Form.zero(3)])
     with pytest.raises(ValueError):
