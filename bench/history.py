@@ -1,0 +1,131 @@
+"""In-process timings of z3forms cases, for the ``BENCH_<label>.json`` history.
+
+Each case runs once untimed, then ``REPEATS`` times under
+``time.perf_counter``; its record holds the median.  One record per case:
+
+    {layer, case, n, median_s, repeats, terms, python, commit}
+
+``terms`` is the number of terms in the value the case builds (``null``
+where a case builds no single value), so two records of one case can be
+checked to have done the same work.  ``commit`` is ``git describe
+--always --dirty`` of the measured tree.
+
+Usage, from the repository root (stdlib only, nothing to install):
+
+    python3 bench/history.py --label NAME [--root TREE]
+
+``--root`` measures the z3forms under ``TREE/src`` instead of this
+checkout's, so a second checkout can be measured with the same cases.
+The file is written to ``BENCH_<label>.json`` at the root of this
+checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
+HERE = Path(__file__).resolve().parent.parent
+
+REPEATS = 7
+
+
+@dataclass(frozen=True)
+class Case:
+    layer: str
+    case: str
+    n: int | None
+    run: Callable[[], object]
+    terms: Callable[[object], int | None]
+
+
+def _form_terms(form) -> int:
+    return len(form.terms)
+
+
+def cases(z) -> list[Case]:
+    """The history's cases, built on the z3forms package ``z``."""
+    out = [Case("gauge", "curvature(generic_connection(n))", n,
+                lambda n=n: z.curvature(z.generic_connection(n)), _form_terms)
+           for n in (2, 3, 4, 5, 8, 12)]
+    out += [Case("gauge", f"curvature(pure_gauge_connection(n, commutative={mode}))", 5,
+                 lambda mode=mode: z.curvature(z.pure_gauge_connection(5, mode)), _form_terms)
+            for mode in (False, True)]
+
+    def lagrangian_terms(report) -> int:
+        return sum(len(x.terms) for x in
+                   z.action.lagrangian_sectors(z.abelian_connection(report.n)))
+
+    def variation_terms(report) -> int:
+        variation = z.euler_lagrange_abelian(z.abelian_connection(report.n),
+                                             z.PairingConfig())
+        return sum(len(x.terms) for x in variation.values())
+
+    for n in range(3, 7):
+        out.append(Case("action", "lagrangian_report(n)", n,
+                        lambda n=n: z.lagrangian_report(n), lagrangian_terms))
+        out.append(Case("action", "field_equation_report(n)", n,
+                        lambda n=n: z.field_equation_report(n), variation_terms))
+    out.append(Case("verify", "run_verify('all', seed=0, cases=50)", None,
+                    lambda: z.run_verify("all", 0, 50), lambda report: None))
+    return out
+
+
+def measure(case: Case, repeats: int, commit: str) -> dict:
+    """One record: the median of ``repeats`` timed runs after a warm-up run."""
+    value = case.run()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        case.run()
+        times.append(time.perf_counter() - start)
+    return {"layer": case.layer, "case": case.case, "n": case.n,
+            "median_s": statistics.median(times), "repeats": repeats,
+            "terms": case.terms(value), "python": platform.python_version(),
+            "commit": commit}
+
+
+def _describe(root: Path) -> str:
+    try:
+        out = subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--root", type=Path, default=HERE,
+                        help="the checkout whose src/ is measured")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    z = importlib.import_module("z3forms")
+    if not Path(z.__file__).resolve().is_relative_to(root):
+        parser.error(f"z3forms was imported from {z.__file__}, not from {root}")
+    commit = _describe(root)
+    records = []
+    for case in cases(z):
+        record = measure(case, REPEATS, commit)
+        records.append(record)
+        print(f"{record['case']:<58} n={record['n']!s:<4} "
+              f"{record['median_s'] * 1e3:9.2f} ms  terms={record['terms']}", flush=True)
+    path = HERE / f"BENCH_{args.label}.json"
+    path.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

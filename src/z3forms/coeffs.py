@@ -18,6 +18,7 @@ coefficients from Q(j).  Supports:
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import lru_cache
 from operator import itemgetter
 
 from .lincomb import LinComb, accumulate
@@ -196,6 +197,13 @@ def normalize_word(word: Iterable[JetSymbol], commutative: bool) -> Word:
     return tuple(letters)
 
 
+@lru_cache(maxsize=64)
+def _uinv_derivative(barred: bool, m: int) -> Word:
+    """The word ``Uinv U_,m Uinv`` that ``-derive(Uinv, m)`` equals."""
+    uinv = JetSymbol("Uinv", barred=barred)
+    return (uinv, JetSymbol("U", derivs=(m,), barred=barred), uinv)
+
+
 class CoeffExpr(LinComb):
     """A Scalar-linear combination of words of jet symbols.
 
@@ -256,7 +264,7 @@ class CoeffExpr(LinComb):
         acc: dict[Word, Scalar] = {}
         for word, coeff in self.terms.items():
             for pos, sym in enumerate(word):
-                name, index, _, barred = sym
+                name, index, derivs, barred = sym
                 if name in CONSTANT_NAMES:
                     continue  # constants differentiate to zero
                 head, tail = word[:pos], word[pos + 1 :]
@@ -265,11 +273,14 @@ class CoeffExpr(LinComb):
                         accumulate(acc, normalize_word(head + tail, commutative), coeff)
                     continue
                 if name == "Uinv":
-                    uinv = JetSymbol("Uinv", barred=barred)
-                    du = JetSymbol("U", derivs=(m,), barred=barred)
-                    new, c = head + (uinv, du, uinv) + tail, -coeff
+                    new, c = head + _uinv_derivative(barred, m) + tail, -coeff
                 else:
-                    new, c = head + (sym.with_deriv(m),) + tail, coeff
+                    # Constants, indexed coordinates and Uinv are handled
+                    # above, so this jet is valid without the checks of
+                    # ``JetSymbol.__new__``.
+                    jet = tuple.__new__(JetSymbol,
+                                        (name, index, tuple(sorted(derivs + (m,))), barred))
+                    new, c = head + (jet,) + tail, coeff
                 if commutative:
                     new = tuple(sorted(new, key=JetSymbol.sort_key))
                 accumulate(acc, new, c)

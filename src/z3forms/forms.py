@@ -41,6 +41,8 @@ from .scalar import J, ONE, Scalar, jpow
 # A form-word letter is ("c", JetSymbol) | ("dx", int) | ("ddx", int).
 Letter = tuple[str, object]
 FormWord = tuple[Letter, ...]
+# The derivatives of one coefficient run along q: (dx[q], [(coefficient, run)]).
+DerivedGroup = tuple[Letter, list[tuple[Scalar, FormWord]]]
 
 # A letter's grade is its degree mod 3.
 _DEGREE = {"c": 0, "dx": 1, "ddx": 2}
@@ -78,7 +80,9 @@ def _canonical_generators(
     """Canonicalize the generator part of a degree-3 word; None means zero.
 
     Memoized: ``normalize_form_word`` and ``Form.d`` call it for every
-    degree-3 term, and dimension n has only n^3 + 3n^2 such generator words.
+    degree-3 term.  Dimension n has n^3 + 2n^2 degree-3 generator words
+    (``dx dx dx``, ``ddx dx`` and ``dx ddx``), so the cache holds all of
+    them up to n = 15.
     """
     kinds = tuple(g[0] for g in gens)
     if kinds == ("dx", "dx", "dx"):
@@ -87,8 +91,6 @@ def _canonical_generators(
         return (ONE, gens)
     if kinds == ("dx", "ddx"):
         return (J, (gens[1], gens[0]))
-    if kinds == ("ddx", "ddx"):
-        return None
     raise AssertionError(f"impossible degree-3 generator pattern {kinds}")
 
 
@@ -168,13 +170,21 @@ class Form(LinComb):
     def __mul__(self, other: Form) -> Form:
         # Both operands hold checked indices for the same n, so the
         # products skip the index check; degrees above 3 are never built.
+        # Below degree 3 rules b-d do not apply, and every run of w1 + w2
+        # stays maximal and normalized unless w1 ends in a run that w2
+        # starts with: such a pair is canonical as built, as in ``d``.
         self._check(other)
         acc: dict[FormWord, Scalar] = {}
-        right = [(w2, c2, word_degree(w2)) for w2, c2 in other.terms.items()]
+        right = [(w2, c2, word_degree(w2), bool(w2) and w2[0][0] == "c")
+                 for w2, c2 in other.terms.items()]
         for w1, c1 in self.terms.items():
-            room = 3 - word_degree(w1)
-            for w2, c2, degree in right:
-                if degree <= room:
+            degree1 = word_degree(w1)
+            ends_in_run = bool(w1) and w1[-1][0] == "c"
+            for w2, c2, degree2, starts_with_run in right:
+                degree = degree1 + degree2
+                if degree < 3 and not (ends_in_run and starts_with_run):
+                    accumulate(acc, w1 + w2, c1 * c2)
+                elif degree <= 3:
                     for phase, canon in normalize_form_word(w1 + w2, self.commutative):
                         accumulate(acc, canon, c1 * c2 * phase)
         return self._like(acc)
@@ -199,11 +209,12 @@ class Form(LinComb):
         run.  A new term of degree 3 is the word's runs joined into one run
         (normalized only when there are two or more runs), then the
         canonical generator word; a degree-2 word is split into its runs
-        and generators once.
+        and generators once, and its generator word and phase are
+        canonicalized once per run and q.
         """
         acc: dict[FormWord, Scalar] = {}
-        # Per run: [(coefficient, derived run, dx[q])] over q, computed once.
-        derived: dict[FormWord, list[tuple[Scalar, FormWord, Letter]]] = {}
+        # Per run: its derivatives grouped by q, computed once per call.
+        derived: dict[FormWord, list[DerivedGroup]] = {}
         commutative = self.commutative
         for word, coeff in self.terms.items():
             degree = word_degree(word)
@@ -226,14 +237,17 @@ class Form(LinComb):
                         end += 1
                     after = word[end:]
                     c = coeff * jpow(prefix_grade)
-                    for cc, run, dxq in self._run_derivatives(word[pos:end], derived):
+                    for dxq, group in self._run_derivatives(word[pos:end], derived):
                         if not top:
-                            accumulate(acc, before + run + (dxq,) + after, c * cc)
+                            for cc, run in group:
+                                accumulate(acc, before + run + (dxq,) + after, c * cc)
                             continue
                         got = _canonical_generators(gens[:g] + (dxq,) + gens[g:])
                         if got is not None:
-                            new = _joined(runs[:r] + [run] + runs[r + 1 :], commutative)
-                            accumulate(acc, new + got[1], c * cc * got[0])
+                            phase, canon = c * got[0], got[1]
+                            for cc, run in group:
+                                new = _joined(runs[:r] + [run] + runs[r + 1 :], commutative)
+                                accumulate(acc, new + canon, phase * cc)
                     r += 1
                 elif kind == "dx":
                     c = coeff * jpow(prefix_grade)
@@ -251,21 +265,19 @@ class Form(LinComb):
                 pos = end
         return self._like(acc)
 
-    def _run_derivatives(
-        self,
-        run: FormWord,
-        derived: dict[FormWord, list[tuple[Scalar, FormWord, Letter]]],
-    ) -> list[tuple[Scalar, FormWord, Letter]]:
-        """[(coefficient, derive(run, q) word, dx[q])] for q = 1..n, once per run."""
+    def _run_derivatives(self, run: FormWord, derived: dict) -> list[DerivedGroup]:
+        """[(dx[q], [(coefficient, derive(run, q) word)])] for every q whose
+        derivative is nonzero, once per run."""
         out = derived.get(run)
         if out is None:
             word = tuple(l[1] for l in run)  # canonical already
             expr = CoeffExpr.zero(self.commutative)._like({word: ONE})
-            out = derived[run] = [
-                (cc, tuple(("c", s) for s in cw), ("dx", q))
-                for q in range(1, self.n + 1)
-                for cw, cc in expr.derive(q).terms.items()
-            ]
+            out = derived[run] = []
+            for q in range(1, self.n + 1):
+                group = [(cc, tuple(("c", s) for s in cw))
+                         for cw, cc in expr.derive(q).terms.items()]
+                if group:
+                    out.append((("dx", q), group))
         return out
 
     # -- rendering -----------------------------------------------------------

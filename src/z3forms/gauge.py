@@ -110,10 +110,13 @@ def covariant_differential(conn: Connection, phi: Form) -> Form:
 
 
 def curvature(conn: Connection) -> Form:
-    """Omega = d(d(A)) + d(A*A) + A*d(A) + A*A*A, normalized."""
+    """Omega = d(d(A)) + d(A*A) + A*d(A) + A*A*A, normalized.
+
+    ``d`` is linear, so the first two terms are one ``d(d(A) + A*A)``.
+    """
     a = connection_form(conn)
-    da = a.d()
-    return da.d() + (a * a).d() + a * da + a * a * a
+    da, aa = a.d(), a * a
+    return total((da + aa).d(), (a * da, aa * a))
 
 
 def curvature_components(conn: Connection) -> ComponentTable:

@@ -10,6 +10,8 @@ compare the integers directly.  Each ring operation works on integers and
 takes at most one gcd.  The rational components ``a = p/r`` and
 ``b = q/r`` are available as ``Fraction`` properties.  Conjugation is the
 Q-linear involution fixing the rationals and sending ``j`` to ``j**2``.
+Every ring operation whose result is one returns the shared ``ONE``, and
+a product with ``ONE`` returns the other operand unchanged.
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ class Scalar:
         return _make(-self._p, -self._q, self._r)
 
     def __mul__(self, other: Scalar) -> Scalar:
+        # Most products in the core have the shared ONE as an operand.
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         a, b, c, d = self._p, self._q, other._p, other._q
         bd = b * d
         # (a + b j)(c + d j) = ac + (ad + bc) j + bd j^2, with j^2 = -1 - j.
@@ -176,7 +183,9 @@ _new = object.__new__
 
 
 def _make(p: int, q: int, r: int) -> Scalar:
-    """A Scalar from a triple already in canonical form."""
+    """A Scalar from a triple already in canonical form; a one is ``ONE``."""
+    if p == 1 and q == 0 and r == 1:
+        return ONE
     s = _new(Scalar)
     _set_p(s, p)
     _set_q(s, q)

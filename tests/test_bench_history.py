@@ -1,0 +1,25 @@
+"""The timing-history runner writes records with the documented keys."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import z3forms
+
+_PATH = Path(__file__).resolve().parent.parent / "bench" / "history.py"
+_SPEC = importlib.util.spec_from_file_location("bench_history", _PATH)
+history = sys.modules["bench_history"] = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(history)
+
+
+def test_curvature_record_has_the_history_keys():
+    (case,) = [c for c in history.cases(z3forms)
+               if c.case == "curvature(generic_connection(n))" and c.n == 2]
+    record = history.measure(case, repeats=1, commit="test")
+    assert list(record) == ["layer", "case", "n", "median_s", "repeats", "terms",
+                            "python", "commit"]
+    assert record["layer"] == "gauge" and record["repeats"] == 1
+    assert record["terms"] == len(z3forms.curvature(z3forms.generic_connection(2)).terms)
+    assert record["median_s"] > 0

@@ -199,6 +199,16 @@ def test_derive_matches_generic_path(xs, m, commutative):
     assert got.commutative == commutative
 
 
+@PROPERTY
+@given(st.one_of(items, derive_items), st.integers(1, 3), modes)
+def test_derived_jets_are_valid_symbols(xs, m, commutative):
+    # ``derive`` builds its jets without the checks of ``JetSymbol.__new__``.
+    for word in CoeffExpr(xs, commutative).derive(m).terms:
+        for letter in word:
+            assert type(letter) is JetSymbol
+            assert letter == JetSymbol(*letter)
+
+
 @pytest.mark.parametrize("commutative", [False, True])
 def test_derive_cancels_after_dropping_a_coordinate(commutative):
     f = JetSymbol("f")

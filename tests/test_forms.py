@@ -20,7 +20,7 @@ from z3forms import (
     jet,
     redistribute_t3,
 )
-from z3forms.forms import normalize_form, word_degree, word_grade
+from z3forms.forms import normalize_form, normalize_form_word, word_degree, word_grade
 from z3forms.scalar import J, J2, ONE, Scalar, jpow
 
 
@@ -293,6 +293,46 @@ def test_product_rule_seam_residual():
         )
     assert residual == expected
     assert not residual.is_zero()
+
+
+F, G, H = (("c", jet(name)) for name in ("f", "g", "h"))
+CU, CUINV = ("c", jet("U")), ("c", jet("Uinv"))
+DX1, DX2, DDX1, DDX2 = ("dx", 1), ("dx", 2), ("ddx", 1), ("ddx", 2)
+
+# One product per branch of ``Form.__mul__``, as pairs of raw words.
+PRODUCT_BRANCHES = {
+    "runs meet below degree 3": [((DX1, CU), (CUINV, DX2)), ((F, DX1, G), (H,)),
+                                 ((G,), (F, DX1)), ((F, DX1, CU), (CUINV, G))],
+    "runs apart below degree 3": [((F, DX1), (G, DX2)), ((), (DX1, G)), ((DX1,), (CU, DX2)),
+                                  ((G, DDX1), (F,)), ((F,), ())],
+    "degree 3": [((F, DX1, G), (DDX2,)), ((DX2, DX1), (F, DX1)), ((DX1,), (DDX1,)),
+                 ((DX1, DX1), (DX1,)), ((G, DX1, CU), (CUINV, F, DDX2))],
+    "past degree 3": [((DDX1,), (DDX2,)), ((DX1, DX2), (F, DDX1))],
+}
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+@pytest.mark.parametrize("branch", sorted(PRODUCT_BRANCHES))
+def test_each_product_branch_matches_normalize_form_word(branch, commutative):
+    for raw1, raw2 in PRODUCT_BRANCHES[branch]:
+        x, y = (Form(2, [(ONE, raw)], commutative) for raw in (raw1, raw2))
+        (w1,), (w2,) = x.terms, y.terms
+        degree = word_degree(w1) + word_degree(w2)
+        meet = bool(w1) and bool(w2) and w1[-1][0] == w2[0][0] == "c"
+        assert {
+            "runs meet below degree 3": degree < 3 and meet,
+            "runs apart below degree 3": degree < 3 and not meet,
+            "degree 3": degree == 3,
+            "past degree 3": degree > 3,
+        }[branch]
+        expected = {canon: phase for phase, canon in normalize_form_word(w1 + w2, commutative)}
+        assert (x * y).terms == expected
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+def test_runs_meeting_in_a_product_cancel(commutative):
+    dx1_u, uinv_dx2 = (Form(2, [(ONE, raw)], commutative) for raw in ((DX1, CU), (CUINV, DX2)))
+    assert (dx1_u * uinv_dx2).terms == {(DX1, DX2): ONE}
 
 
 # -- structure helpers ---------------------------------------------------------

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from z3forms import J, J2, ONE, Scalar, ZERO, jpow, scalar
+from z3forms.scalar import _make
 
 
 def rand_scalar(rng: random.Random, span: int = 12) -> Scalar:
@@ -23,6 +25,13 @@ def test_cube_root_relations():
     assert J * J * J == ONE
     assert ONE + J + J2 == ZERO
     assert J2 == -ONE - J
+
+
+def test_every_computed_one_is_the_shared_one():
+    assert _make(1, 0, 1) is ONE
+    assert J * J2 is ONE
+    assert pickle.loads(pickle.dumps(ONE)) is ONE
+    assert Scalar(1) == ONE and Scalar(1) is not ONE
 
 
 def test_jpow_period():

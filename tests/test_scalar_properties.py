@@ -167,6 +167,14 @@ def test_repr_pickle_and_copy_round_trip(x):
     assert copy.deepcopy(x) == x
 
 
+@PROPERTY
+@given(scalars)
+def test_product_with_one_is_the_other_operand(x):
+    fresh = Scalar(1)  # a one that is not the shared ONE
+    for v in (x * ONE, ONE * x, x * fresh, fresh * x):
+        assert v == x and hash(v) == hash(x) and repr(v) == repr(x)
+
+
 def test_equal_values_from_unreduced_inputs():
     assert Scalar(Fraction(2, 4)) == Scalar(Fraction(1, 2))
     assert hash(Scalar(Fraction(2, 4))) == hash(Scalar(Fraction(1, 2)))
