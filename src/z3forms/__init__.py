@@ -39,7 +39,7 @@ from .action import (
     scalar_product,
     variational_derivative,
 )
-from .coeffs import CoeffExpr, JetSymbol, derive, jet
+from .coeffs import CoeffExpr, JetSymbol
 from .expr import (
     EvalContext,
     EvalError,
@@ -57,11 +57,8 @@ from .forms import (
     components,
     coordinate,
     ddx,
-    differential,
     dx,
     form_from_components,
-    grade_and_degree,
-    normalize_form,
     redistribute_t3,
 )
 from .gauge import (
@@ -79,8 +76,8 @@ from .gauge import (
     pure_gauge_connection,
 )
 from .grassmann import GrassElement, bar_theta, enumerate_basis, theta, theta_only_count
-from .matrices import ETA, GradedMatrix, eta_differential, grade_of, graded_commutator
-from .scalar import J, J2, ONE, Scalar, ZERO, embed_complex, jpow, scalar
+from .matrices import ETA, GradedMatrix, eta_differential, graded_commutator
+from .scalar import J, J2, ONE, Scalar, ZERO, jpow, scalar
 from .verify import VerifyFailure, VerifyReport, run_verify
 
 __version__ = "0.1.0"
@@ -102,8 +99,6 @@ __all__ = [
     "variational_derivative",
     "CoeffExpr",
     "JetSymbol",
-    "derive",
-    "jet",
     "EvalContext",
     "EvalError",
     "ParseError",
@@ -118,11 +113,8 @@ __all__ = [
     "components",
     "coordinate",
     "ddx",
-    "differential",
     "dx",
     "form_from_components",
-    "grade_and_degree",
-    "normalize_form",
     "redistribute_t3",
     "Connection",
     "abelian_connection",
@@ -144,14 +136,12 @@ __all__ = [
     "ETA",
     "GradedMatrix",
     "eta_differential",
-    "grade_of",
     "graded_commutator",
     "J",
     "J2",
     "ONE",
     "Scalar",
     "ZERO",
-    "embed_complex",
     "jpow",
     "scalar",
     "VerifyFailure",

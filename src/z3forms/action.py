@@ -251,9 +251,9 @@ def solve_linear(
     return [-residue.get(tag, ZERO) for tag in tags]
 
 
-def lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
-    """Reduce an expression linear in the jets of ``base`` modulo the
-    divergence constraint sum_i derive(base[i], i) == 0 and all its jets.
+def lorenz_reduce(x: CoeffExpr, n: int) -> CoeffExpr:
+    """Reduce an expression linear in the jets of ``A`` modulo the
+    divergence constraint sum_i derive(A[i], i) == 0 and all its jets.
 
     Eliminates against the constraint generators, each pivoting on its jet
     of largest sort key; the result is a canonical representative (zero iff
@@ -266,20 +266,20 @@ def lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
     for word, coeff in x:
         consts = tuple(s for s in word if s.name in CONSTANT_NAMES)
         rest = tuple(s for s in word if s.name not in CONSTANT_NAMES)
-        if len(rest) != 1 or rest[0].name != base:
+        if len(rest) != 1 or rest[0].name != "A":
             raise ValueError("the gauge reduction applies to expressions linear "
-                             f"in the jets of {base!r} (constant weights aside)")
+                             "in the jets of 'A' (constant weights aside)")
         max_order = max(max_order, len(rest[0].derivs))
         accumulate(split.setdefault(consts, {}), rest, coeff)
     if max_order == 0:
         return x
 
-    # Generator beta holds the jets base[i]_(beta+i), so no two generators
+    # Generator beta holds the jets A[i]_(beta+i), so no two generators
     # share a jet: each one is already a row of a fully reduced echelon.
     rows: dict[Word, dict] = {}
     for size in range(max_order):
         for beta in combinations_with_replacement(range(1, n + 1), size):
-            row = {(JetSymbol(base, i, beta + (i,)),): ONE for i in range(1, n + 1)}
+            row = {(JetSymbol("A", i, beta + (i,)),): ONE for i in range(1, n + 1)}
             rows[max(row, key=lambda w: w[0].sort_key())] = row
     out: dict[Word, Scalar] = {}
     for consts, group in split.items():
@@ -346,7 +346,8 @@ class LagrangianReport:
 
     The two derivative shapes are not independent once the field strength
     is substituted: the cross sum equals exactly half the square sum (a
-    Bianchi-type differential identity, recorded in ``shapes_degenerate``).
+    Bianchi-type differential identity, recorded in ``shapes_degenerate``;
+    where it fails, the report has zero constants and ``exact`` false).
     Representations (c1, c2) therefore form a one-parameter family; the
     reported pair is the unique member with ratio c1/c2 == -2, the ratio
     the c3-normalized shape is quoted with.  ``reference`` holds the
@@ -387,20 +388,16 @@ def lagrangian_report(n: int) -> LagrangianReport:
     degenerate = (X - B.scale(half)).is_zero()
     failed = LagrangianReport(n, ZERO, ZERO, ZERO, exact=False,
                               shapes_degenerate=degenerate)
-    if degenerate:
-        # L3 = s * B on the joint span; the ratio -2 normalization picks
-        # c1 = -2 c2 with c1 + c2/2 = s, i.e. (c1, c2) = (4s/3, -2s/3).
-        sol_b = solve_linear([B.terms], L3.terms)
-        if sol_b is None:
-            return failed
-        (s,) = sol_b
-        c1 = s * scalar(Fraction(4, 3))
-        c2 = -(s * scalar(Fraction(2, 3)))
-    else:
-        sol = solve_linear([B.terms, X.terms], L3.terms)
-        if sol is None:
-            return failed
-        c1, c2 = sol
+    if not degenerate:
+        return failed
+    # L3 = s * B on the joint span; the ratio -2 normalization picks
+    # c1 = -2 c2 with c1 + c2/2 = s, i.e. (c1, c2) = (4s/3, -2s/3).
+    sol_b = solve_linear([B.terms], L3.terms)
+    if sol_b is None:
+        return failed
+    (s,) = sol_b
+    c1 = s * scalar(Fraction(4, 3))
+    c2 = -(s * scalar(Fraction(2, 3)))
     sol21 = solve_linear([SF.terms], L21.terms)
     if sol21 is None:
         return failed
@@ -433,9 +430,10 @@ class FieldEquationReport:
     )
 
 
-def field_equation_report(n: int, cfg: PairingConfig | None = None) -> FieldEquationReport:
-    """Fit the derived variation to alpha * Lap(G_p) + gamma * mu * G_p, exactly."""
-    cfg = cfg or PairingConfig()
+def field_equation_report(n: int) -> FieldEquationReport:
+    """Fit the derived variation to alpha * Lap(G_p) + gamma * mu * G_p, exactly,
+    with the formal weight mu."""
+    cfg = PairingConfig()
     conn = abelian_connection(n)
     EL = euler_lagrange_abelian(conn, cfg)
     G = divergence_of_strength(conn)

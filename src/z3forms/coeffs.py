@@ -120,11 +120,6 @@ class JetSymbol(tuple):
         return text
 
 
-def jet(name: str, index: int | None = None, derivs: Iterable[int] = ()) -> JetSymbol:
-    """Convenience constructor for a jet symbol."""
-    return JetSymbol(name, index, tuple(derivs))
-
-
 Word = tuple[JetSymbol, ...]
 
 
@@ -304,7 +299,3 @@ class CoeffExpr(LinComb):
         from .render import render_coeff
 
         return render_coeff(self)
-
-
-def derive(x: CoeffExpr, m: int) -> CoeffExpr:
-    return x.derive(m)

@@ -487,7 +487,7 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
                     raise EvalError("matrix entries must be scalars")
                 out_row.append(v)
             entries.append(out_row)
-        return GradedMatrix.from_rows(entries)
+        return GradedMatrix(entries)
     raise EvalError(f"unknown AST node {type(node).__name__}")
 
 

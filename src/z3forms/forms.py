@@ -315,19 +315,6 @@ def coordinate(i: int, n: int, commutative: bool = False) -> Form:
     )
 
 
-def differential(x: Form) -> Form:
-    return x.d()
-
-
-def normalize_form(word: FormWord, n: int, commutative: bool = False) -> Form:
-    """Normalize a raw interleaved word into a Form."""
-    return Form(n, [(ONE, word)], commutative)
-
-
-def grade_and_degree(x: Form) -> tuple[int | str, int | str]:
-    return x.grade_and_degree()
-
-
 # -- degree-3 component tables ---------------------------------------------------
 
 

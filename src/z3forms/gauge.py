@@ -99,9 +99,9 @@ def connection_form(conn: Connection) -> Form:
                   for i in range(1, n + 1)))
 
 
-def matter_field(n: int, commutative: bool = False, name: str = "Phi") -> Form:
-    """A formal degree-0, grade-0 matter field."""
-    return coefficient_form(CoeffExpr.from_symbol(JetSymbol(name), commutative), n)
+def matter_field(n: int, commutative: bool = False) -> Form:
+    """The formal degree-0, grade-0 matter field Phi."""
+    return coefficient_form(CoeffExpr.from_symbol(JetSymbol("Phi"), commutative), n)
 
 
 def covariant_differential(conn: Connection, phi: Form) -> Form:

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .lincomb import LinComb, accumulate
-from .scalar import ONE, Scalar, ZERO, jpow, scalar
+from .scalar import ONE, Scalar, ZERO, jpow
 
 
 class GradedMatrix(LinComb):
@@ -43,15 +43,6 @@ class GradedMatrix(LinComb):
                 if not entry.is_zero():
                     terms[(g, i)] = entry
         self.terms = terms
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[object]]) -> GradedMatrix:
-        conv = []
-        for row in rows:
-            conv.append(
-                [e if isinstance(e, Scalar) else scalar(e) for e in row]  # type: ignore[arg-type]
-            )
-        return GradedMatrix(conv)
 
     @staticmethod
     def homogeneous(grade: int, entries: Sequence[Scalar]) -> GradedMatrix:
@@ -112,10 +103,6 @@ ETA = GradedMatrix.homogeneous(1, (ONE, ONE, ONE))
 
 #: ``-j^g`` by grade g: the phase ``eta_differential`` gives a grade-g entry.
 _MINUS_PHASE = tuple(-jpow(g) for g in range(3))
-
-
-def grade_of(m: GradedMatrix) -> int | str:
-    return m.grade_of()
 
 
 def graded_commutator(b: GradedMatrix, c: GradedMatrix) -> GradedMatrix:

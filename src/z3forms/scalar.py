@@ -218,7 +218,3 @@ def jpow(s: int) -> Scalar:
     if s == 0:
         return ONE
     return J if s == 1 else J2
-
-
-def embed_complex(x: Scalar) -> tuple[float, float]:
-    return x.embed_complex()

@@ -29,6 +29,7 @@ from z3forms import (
     CoeffExpr,
     Form,
     GradedMatrix,
+    JetSymbol,
     EvalContext,
     PairingConfig,
     abelian_connection,
@@ -48,7 +49,6 @@ from z3forms import (
     gauge_transform,
     generic_connection,
     graded_commutator,
-    jet,
     lagrangian_report,
     lorenz_reduce,
     matter_field,
@@ -148,15 +148,15 @@ def test_criterion_04_third_power_vanishes():
 def test_criterion_05_worked_expansions():
     n = 3
     # a bare coefficient
-    f = coefficient_form(CoeffExpr.from_symbol(jet("f")), n)
+    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
     want = Form.zero(n)
     for k in range(1, n + 1):
         for i in range(1, n + 1):
             want = want + Form(
-                n, [(ONE, (("c", jet("f", derivs=(i, k))), ("dx", k), ("dx", i)))]
+                n, [(ONE, (("c", JetSymbol("f", derivs=(i, k))), ("dx", k), ("dx", i)))]
             )
     for i in range(1, n + 1):
-        want = want + Form(n, [(ONE, (("c", jet("f", derivs=(i,))), ("ddx", i)))])
+        want = want + Form(n, [(ONE, (("c", JetSymbol("f", derivs=(i,))), ("ddx", i)))])
     assert f.d().d() == want
     # a coordinate one-form
     from z3forms import coordinate, ddx, dx
@@ -166,23 +166,23 @@ def test_criterion_05_worked_expansions():
     # a generic one-form, including the antisymmetric two-generator block
     om = Form.zero(n)
     for k in range(1, n + 1):
-        om = om + Form(n, [(ONE, (("c", jet("w", k)), ("dx", k)))])
+        om = om + Form(n, [(ONE, (("c", JetSymbol("w", k)), ("dx", k)))])
     want = Form.zero(n)
     for m in range(1, n + 1):
         for i in range(1, n + 1):
             for k in range(1, n + 1):
                 want = want + Form(
                     n,
-                    [(ONE, (("c", jet("w", k, (i, m))),
+                    [(ONE, (("c", JetSymbol("w", k, (i, m))),
                             ("dx", m), ("dx", i), ("dx", k)))],
                 )
     for i in range(1, n + 1):
         for k in range(1, n + 1):
             want = want + Form(
-                n, [(ONE, (("c", jet("w", k, (i,))), ("ddx", i), ("dx", k)))]
+                n, [(ONE, (("c", JetSymbol("w", k, (i,))), ("ddx", i), ("dx", k)))]
             )
             want = want + Form(
-                n, [(-ONE, (("c", jet("w", i, (k,))), ("ddx", i), ("dx", k)))]
+                n, [(-ONE, (("c", JetSymbol("w", i, (k,))), ("ddx", i), ("dx", k)))]
             )
     assert om.d().d() == want
 

@@ -26,7 +26,6 @@ from z3forms import (
     field_equation_report,
     field_strength,
     generic_connection,
-    jet,
     lagrangian_density,
     lagrangian_report,
     lorenz_reduce,
@@ -51,7 +50,7 @@ def rand_degree3(rng: random.Random, n: int, with_runs: bool = True) -> Form:
     for _ in range(rng.randint(1, 3)):
         if with_runs:
             run = tuple(
-                ("c", jet(rng.choice(names)))
+                ("c", JetSymbol(rng.choice(names)))
                 for _ in range(rng.randint(0, 1))
             )
         else:
@@ -153,7 +152,7 @@ def test_real_names_skip_barring():
     # A conjugate value stores its preimage's words, so no symbol of an
     # unbarred jet is barred on the way there and back.
     n = 2
-    a = Form(n, [(ONE, (("c", jet("A", 1)), ("dx", 1), ("dx", 2), ("dx", 1)))])
+    a = Form(n, [(ONE, (("c", JetSymbol("A", 1)), ("dx", 1), ("dx", 2), ("dx", 1)))])
     cf = conjugate_form(a)
     back = cf.conjugate_back()
     assert back == a
@@ -262,10 +261,10 @@ def two_pass_variation(L: CoeffExpr, n: int, base: str = "A") -> dict[int, Coeff
 #: inside and outside 1..n (n <= 3 below), an unindexed and a barred A,
 #: another base name, a coordinate and the constant mu.
 VARIATION_LETTERS = st.sampled_from(
-    [jet("A", i, d) for i in (0, 1, 2, 3, 4)
+    [JetSymbol("A", i, d) for i in (0, 1, 2, 3, 4)
      for d in ((), (1,), (2,), (1, 2), (2, 2), (1, 1, 3))]
-    + [jet("A"), JetSymbol("A", 1, (1,), barred=True), jet("B", 1, (1,)),
-       jet("x", 1), MU])
+    + [JetSymbol("A"), JetSymbol("A", 1, (1,), barred=True), JetSymbol("B", 1, (1,)),
+       JetSymbol("x", 1), MU])
 VARIATION_INPUTS = st.lists(
     st.tuples(st.integers(-3, 3).map(scalar), st.lists(VARIATION_LETTERS, max_size=3)),
     max_size=6).map(lambda items: CoeffExpr(items, True))
@@ -347,12 +346,12 @@ def test_lorenz_reduce_kills_constraint_jets():
 
 
 def test_solve_linear_exact_and_inconsistent():
-    f = CoeffExpr.from_symbol(jet("f"), True)
-    g = CoeffExpr.from_symbol(jet("g"), True)
+    f = CoeffExpr.from_symbol(JetSymbol("f"), True)
+    g = CoeffExpr.from_symbol(JetSymbol("g"), True)
     target = f.scale(scalar(2)) + g.scale(scalar(Fraction(-1, 3)))
     sol = solve_linear([f.terms, g.terms], target.terms)
     assert sol == [scalar(2), scalar(Fraction(-1, 3))]
-    h = CoeffExpr.from_symbol(jet("h"), True)
+    h = CoeffExpr.from_symbol(JetSymbol("h"), True)
     assert solve_linear([f.terms, g.terms], h.terms) is None
 
 
@@ -380,7 +379,7 @@ def test_lorenz_reduce_residue_of_nonzero_inputs():
     # The residue of an input outside the span depends on the pivot order
     # (the jet with the largest sort key is eliminated); these pin it.
     def a(i, *derivs):
-        return CoeffExpr.from_symbol(jet("A", i, derivs), True)
+        return CoeffExpr.from_symbol(JetSymbol("A", i, derivs), True)
 
     assert lorenz_reduce(a(2, 2), 2) == -a(1, 1)
     assert lorenz_reduce(a(1, 1), 2) == a(1, 1)
@@ -421,7 +420,7 @@ def lorenz_inputs(draw):
     """An expression linear in the jets of A, of order 0..4, with or without mu."""
     n = draw(st.integers(1, 4))
     order = draw(st.integers(0, 4))
-    jets = st.builds(lambda i, derivs: jet("A", i, derivs), st.integers(1, n),
+    jets = st.builds(lambda i, derivs: JetSymbol("A", i, derivs), st.integers(1, n),
                      st.lists(st.integers(1, n), max_size=order))
     prefix = st.sampled_from([(), (MU,)])
     items = draw(st.lists(st.tuples(st.integers(-3, 3).map(scalar),

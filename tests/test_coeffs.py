@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from z3forms import CoeffExpr, JetSymbol, jet
+from z3forms import CoeffExpr, JetSymbol
 from z3forms.scalar import J, Scalar
 
 
 def sym_expr(name: str, commutative: bool = False, **kw) -> CoeffExpr:
-    return CoeffExpr.from_symbol(jet(name, **kw), commutative)
+    return CoeffExpr.from_symbol(JetSymbol(name, **kw), commutative)
 
 
 def rand_coeff(rng: random.Random, commutative: bool = False) -> CoeffExpr:
@@ -19,7 +19,7 @@ def rand_coeff(rng: random.Random, commutative: bool = False) -> CoeffExpr:
     acc = CoeffExpr.zero(commutative)
     for _ in range(rng.randint(1, 3)):
         word = tuple(
-            jet(rng.choice(names), derivs=tuple(
+            JetSymbol(rng.choice(names), derivs=tuple(
                 rng.randint(1, 3) for _ in range(rng.randint(0, 2))
             ))
             for _ in range(rng.randint(1, 3))
@@ -30,9 +30,9 @@ def rand_coeff(rng: random.Random, commutative: bool = False) -> CoeffExpr:
 
 
 def test_jet_symbol_sorted_derivs():
-    assert jet("f", derivs=(3, 1, 2)).derivs == (1, 2, 3)
-    assert str(jet("A", 2, (1, 1))) == "A[2]_,1,1"
-    assert str(jet("f").bar_toggled()) == "~f"
+    assert JetSymbol("f", derivs=(3, 1, 2)).derivs == (1, 2, 3)
+    assert str(JetSymbol("A", 2, (1, 1))) == "A[2]_,1,1"
+    assert str(JetSymbol("f").bar_toggled()) == "~f"
 
 
 def test_partial_derivatives_commute():
@@ -114,7 +114,7 @@ def test_conjugation_respects_real_names():
     real = frozenset({"f"})
     assert f.conjugate(real) == f
     barred = f.conjugate()
-    assert barred == CoeffExpr.from_symbol(jet("f").bar_toggled())
+    assert barred == CoeffExpr.from_symbol(JetSymbol("f").bar_toggled())
     # scalar coefficients conjugate alongside
     jf = f.scale(J)
     assert jf.conjugate(real) == f.scale(J.conjugate())

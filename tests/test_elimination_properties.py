@@ -19,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from test_scalar_properties import PROPERTY, ref, ref_inverse, ref_mul, ref_sub  # noqa: E402
 
 from z3forms.action import _echelon, _reduce, solve_linear  # noqa: E402
-from z3forms.coeffs import jet  # noqa: E402
+from z3forms.coeffs import JetSymbol  # noqa: E402
 from z3forms.lincomb import accumulate  # noqa: E402
 from z3forms.scalar import ZERO, Scalar  # noqa: E402
 
@@ -28,7 +28,7 @@ from z3forms.scalar import ZERO, Scalar  # noqa: E402
 KEYS = (
     0, 1, 2, 7,
     (1, 2), (2, 1), (),
-    (1, (jet("A", 1, (1,)),)), (2, (jet("A", 1, (1,)),)), (1, (jet("A", 2),)),
+    (1, (JetSymbol("A", 1, (1,)),)), (2, (JetSymbol("A", 1, (1,)),)), (1, (JetSymbol("A", 2),)),
 )
 
 scalars = st.builds(lambda a, b, r: Scalar(Fraction(a, r), Fraction(b, r)),

@@ -1,7 +1,8 @@
 """The package's names: every exported name resolves, none twice, every
-module-level name is used somewhere, every parameter is read, every
-name the benchmark's layer tracer wraps exists, and every value type but
-``Scalar`` is built on the ``lincomb`` core."""
+module-level name is used somewhere, no function only forwards to a
+method, every parameter is read, every name the benchmark's layer tracer
+wraps exists, and every value type but ``Scalar`` is built on the
+``lincomb`` core."""
 
 from __future__ import annotations
 
@@ -57,6 +58,29 @@ def test_every_module_level_name_is_used():
             if words[name] <= len(on_own_line):
                 unused.append(f"{path.name}:{name}")
     assert unused == []
+
+
+def test_no_function_only_forwards_to_a_method():
+    # One spelling per operation: a module-level function whose body,
+    # docstring aside, is ``return <first parameter>.<attr>(...)`` is a
+    # second name for that method.
+    forwarders = []
+    for path in sorted((ROOT / "src" / "z3forms").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            params = node.args.posonlyargs + node.args.args
+            if len(body) != 1 or not params or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == params[0].arg):
+                forwarders.append(f"{path.stem}.{node.name}")
+    assert forwarders == []
 
 
 def test_every_parameter_is_read():

@@ -10,17 +10,16 @@ import pytest
 from z3forms import (
     CoeffExpr,
     Form,
+    JetSymbol,
     coefficient_form,
     components,
     coordinate,
     ddx,
     dx,
     form_from_components,
-    grade_and_degree,
-    jet,
     redistribute_t3,
 )
-from z3forms.forms import normalize_form, normalize_form_word, word_degree, word_grade
+from z3forms.forms import normalize_form_word, word_degree, word_grade
 from z3forms.scalar import J, J2, ONE, Scalar, jpow
 
 
@@ -31,7 +30,7 @@ def rand_scalar(rng: random.Random) -> Scalar:
 def rand_run(rng: random.Random) -> tuple:
     names = ("f", "g")
     return tuple(
-        ("c", jet(rng.choice(names))) for _ in range(rng.randint(0, 1))
+        ("c", JetSymbol(rng.choice(names))) for _ in range(rng.randint(0, 1))
     )
 
 
@@ -112,7 +111,7 @@ def test_all_equal_triples_vanish():
 
 def test_degree_three_collapse_multiplies_coefficients():
     n = 3
-    f, g = jet("f"), jet("g")
+    f, g = JetSymbol("f"), JetSymbol("g")
     interleaved = Form(
         n,
         [(ONE, (("c", f), ("dx", 1), ("c", g), ("dx", 2), ("dx", 3)))],
@@ -128,7 +127,7 @@ def test_degree_three_collapse_multiplies_coefficients():
 
 def test_low_degree_words_stay_interleaved():
     n = 2
-    f, g = jet("f"), jet("g")
+    f, g = JetSymbol("f"), JetSymbol("g")
     interleaved = Form(n, [(ONE, (("c", f), ("dx", 1), ("c", g), ("dx", 2)))])
     collapsed = Form(n, [(ONE, (("c", f), ("c", g), ("dx", 1), ("dx", 2)))])
     assert interleaved != collapsed
@@ -157,26 +156,26 @@ def test_differential_of_coordinate_product():
 
 def test_differential_of_coefficient():
     n = 3
-    f = coefficient_form(CoeffExpr.from_symbol(jet("f")), n)
+    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
     got = f.d()
     want = Form.zero(n)
     for i in range(1, n + 1):
-        want = want + Form(n, [(ONE, (("c", jet("f", derivs=(i,))), ("dx", i)))])
+        want = want + Form(n, [(ONE, (("c", JetSymbol("f", derivs=(i,))), ("dx", i)))])
     assert got == want
 
 
 def test_second_differential_of_coefficient():
     n = 3
-    f = coefficient_form(CoeffExpr.from_symbol(jet("f")), n)
+    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
     want = Form.zero(n)
     for k in range(1, n + 1):
         for i in range(1, n + 1):
             want = want + Form(
                 n,
-                [(ONE, (("c", jet("f", derivs=(i, k))), ("dx", k), ("dx", i)))],
+                [(ONE, (("c", JetSymbol("f", derivs=(i, k))), ("dx", k), ("dx", i)))],
             )
     for i in range(1, n + 1):
-        want = want + Form(n, [(ONE, (("c", jet("f", derivs=(i,))), ("ddx", i)))])
+        want = want + Form(n, [(ONE, (("c", JetSymbol("f", derivs=(i,))), ("ddx", i)))])
     assert f.d().d() == want
 
 
@@ -191,23 +190,23 @@ def test_second_differential_of_generic_one_form():
     n = 3
     om = Form.zero(n)
     for k in range(1, n + 1):
-        om = om + Form(n, [(ONE, (("c", jet("w", k)), ("dx", k)))])
+        om = om + Form(n, [(ONE, (("c", JetSymbol("w", k)), ("dx", k)))])
     want = Form.zero(n)
     for m in range(1, n + 1):
         for i in range(1, n + 1):
             for k in range(1, n + 1):
                 want = want + Form(
                     n,
-                    [(ONE, (("c", jet("w", k, (i, m))),
+                    [(ONE, (("c", JetSymbol("w", k, (i, m))),
                             ("dx", m), ("dx", i), ("dx", k)))],
                 )
     for i in range(1, n + 1):
         for k in range(1, n + 1):
             want = want + Form(
-                n, [(ONE, (("c", jet("w", k, (i,))), ("ddx", i), ("dx", k)))]
+                n, [(ONE, (("c", JetSymbol("w", k, (i,))), ("ddx", i), ("dx", k)))]
             )
             want = want + Form(
-                n, [(-ONE, (("c", jet("w", i, (k,))), ("ddx", i), ("dx", k)))]
+                n, [(-ONE, (("c", JetSymbol("w", i, (k,))), ("ddx", i), ("dx", k)))]
             )
     assert om.d().d() == want
 
@@ -233,7 +232,7 @@ def test_image_containments():
 
 def test_second_differential_not_identically_zero():
     n = 2
-    f = coefficient_form(CoeffExpr.from_symbol(jet("f")), n)
+    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
     assert not f.d().d().is_zero()
 
 
@@ -250,10 +249,10 @@ def test_product_associativity_random():
 
 def test_left_module_scalar_runs_merge():
     n = 2
-    f = coefficient_form(CoeffExpr.from_symbol(jet("f")), n)
-    g = coefficient_form(CoeffExpr.from_symbol(jet("g")), n)
+    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
+    g = coefficient_form(CoeffExpr.from_symbol(JetSymbol("g")), n)
     fg = coefficient_form(
-        CoeffExpr.from_symbol(jet("f")) * CoeffExpr.from_symbol(jet("g")), n
+        CoeffExpr.from_symbol(JetSymbol("f")) * CoeffExpr.from_symbol(JetSymbol("g")), n
     )
     assert f * g == fg
 
@@ -264,7 +263,7 @@ def test_product_rule_generator_tailed():
     for _ in range(120):
         w = rand_generator_tailed(rng, n)
         phi = rand_form(rng, n, 1)
-        grade = grade_and_degree(w)[0]
+        grade = w.grade_and_degree()[0]
         if grade == "mixed":
             continue
         lhs = (w * phi).d()
@@ -277,26 +276,26 @@ def test_product_rule_seam_residual():
     # rule on two bare coefficients acquires an exact residual: the version
     # with g merged into the differentiated run minus the interleaved one.
     n = 2
-    f = coefficient_form(CoeffExpr.from_symbol(jet("f")), n)
-    g = coefficient_form(CoeffExpr.from_symbol(jet("g")), n)
+    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
+    g = coefficient_form(CoeffExpr.from_symbol(JetSymbol("g")), n)
     lhs = (f * g).d()
     rhs = f.d() * g + f * g.d()
     residual = lhs - rhs
     expected = Form.zero(n)
     for q in range(1, n + 1):
-        fq = jet("f", derivs=(q,))
+        fq = JetSymbol("f", derivs=(q,))
         expected = expected + Form(
-            n, [(ONE, (("c", fq), ("c", jet("g")), ("dx", q)))]
+            n, [(ONE, (("c", fq), ("c", JetSymbol("g")), ("dx", q)))]
         )
         expected = expected + Form(
-            n, [(-ONE, (("c", fq), ("dx", q), ("c", jet("g"))))]
+            n, [(-ONE, (("c", fq), ("dx", q), ("c", JetSymbol("g"))))]
         )
     assert residual == expected
     assert not residual.is_zero()
 
 
-F, G, H = (("c", jet(name)) for name in ("f", "g", "h"))
-CU, CUINV = ("c", jet("U")), ("c", jet("Uinv"))
+F, G, H = (("c", JetSymbol(name)) for name in ("f", "g", "h"))
+CU, CUINV = ("c", JetSymbol("U")), ("c", JetSymbol("Uinv"))
 DX1, DX2, DDX1, DDX2 = ("dx", 1), ("dx", 2), ("ddx", 1), ("ddx", 2)
 
 # One product per branch of ``Form.__mul__``, as pairs of raw words.
@@ -340,19 +339,19 @@ def test_runs_meeting_in_a_product_cancel(commutative):
 
 def test_grade_and_degree():
     n = 3
-    assert grade_and_degree(dx(1, n)) == (1, 1)
-    assert grade_and_degree(ddx(1, n)) == (2, 2)
-    assert grade_and_degree(dx(1, n) * dx(2, n)) == (2, 2)
-    assert grade_and_degree(ddx(1, n) * dx(2, n)) == (0, 3)
-    assert grade_and_degree(dx(1, n) * dx(2, n) * dx(3, n)) == (0, 3)
-    assert grade_and_degree(coordinate(1, n)) == (0, 0)
-    assert grade_and_degree(Form.zero(n)) == (0, 0)
+    assert dx(1, n).grade_and_degree() == (1, 1)
+    assert ddx(1, n).grade_and_degree() == (2, 2)
+    assert (dx(1, n) * dx(2, n)).grade_and_degree() == (2, 2)
+    assert (ddx(1, n) * dx(2, n)).grade_and_degree() == (0, 3)
+    assert (dx(1, n) * dx(2, n) * dx(3, n)).grade_and_degree() == (0, 3)
+    assert coordinate(1, n).grade_and_degree() == (0, 0)
+    assert Form.zero(n).grade_and_degree() == (0, 0)
     mixed = dx(1, n) + ddx(1, n)
-    assert grade_and_degree(mixed) == ("mixed", "mixed")
+    assert mixed.grade_and_degree() == ("mixed", "mixed")
 
 
 def test_word_grade_degree_helpers():
-    word = (("c", jet("f")), ("ddx", 1), ("dx", 2))
+    word = (("c", JetSymbol("f")), ("ddx", 1), ("dx", 2))
     assert word_degree(word) == 3
     assert word_grade(word) == 0
 
@@ -411,5 +410,5 @@ def test_redistribute_preserves_class():
 
 def test_normalize_form_entrypoint():
     n = 3
-    w = normalize_form((("dx", 2), ("dx", 3), ("dx", 1)), n)
+    w = Form(n, [(ONE, (("dx", 2), ("dx", 3), ("dx", 1)))])
     assert w == (dx(1, n) * dx(2, n) * dx(3, n)).scale(J2)

@@ -31,7 +31,6 @@ from z3forms import (
     field_strength,
     gauge_transform,
     generic_connection,
-    jet,
     matter_field,
     pure_gauge_connection,
 )
@@ -192,9 +191,9 @@ def test_pure_gauge_noncommutative_obstruction_pinned():
     uinv = JetSymbol("Uinv")
 
     def wrd(a: int, b: int, c: int) -> tuple:
-        return (uinv, jet("U", derivs=(a,)),
-                uinv, jet("U", derivs=(b,)),
-                uinv, jet("U", derivs=(c,)))
+        return (uinv, JetSymbol("U", derivs=(a,)),
+                uinv, JetSymbol("U", derivs=(b,)),
+                uinv, JetSymbol("U", derivs=(c,)))
 
     t112 = CoeffExpr(
         [(Scalar(1, -1), wrd(1, 1, 2)), (Scalar(-1, 1), wrd(1, 2, 1))]

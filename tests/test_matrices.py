@@ -10,7 +10,6 @@ from z3forms import (
     ETA,
     GradedMatrix,
     eta_differential,
-    grade_of,
     graded_commutator,
 )
 from z3forms.scalar import J, ONE, Scalar, ZERO, jpow
@@ -21,39 +20,37 @@ def rand_scalar(rng: random.Random) -> Scalar:
 
 
 def rand_matrix(rng: random.Random) -> GradedMatrix:
-    return GradedMatrix.from_rows(
-        [[rand_scalar(rng) for _ in range(3)] for _ in range(3)]
-    )
+    return GradedMatrix([[rand_scalar(rng) for _ in range(3)] for _ in range(3)])
 
 
 def rand_homogeneous(rng: random.Random, g: int) -> GradedMatrix:
     rows = [[ZERO] * 3 for _ in range(3)]
     for a in range(3):
         rows[a][(a + g) % 3] = rand_scalar(rng)
-    return GradedMatrix.from_rows(rows)
+    return GradedMatrix(rows)
 
 
 def unit_matrix(a: int, b: int) -> GradedMatrix:
     rows = [[ZERO] * 3 for _ in range(3)]
     rows[a][b] = ONE
-    return GradedMatrix.from_rows(rows)
+    return GradedMatrix(rows)
 
 
 def test_eta_is_grade_one_with_cube_identity():
-    assert grade_of(ETA) == 1
+    assert ETA.grade_of() == 1
     assert ETA * ETA * ETA == GradedMatrix.identity()
-    assert grade_of(ETA * ETA) == 2
-    assert grade_of(GradedMatrix.identity()) == 0
+    assert (ETA * ETA).grade_of() == 2
+    assert GradedMatrix.identity().grade_of() == 0
 
 
 def test_grade_patterns():
     # grade g lives on the diagonal shifted right by g (mod 3)
     for g in (0, 1, 2):
         for a in range(3):
-            assert grade_of(unit_matrix(a, (a + g) % 3)) == g
+            assert unit_matrix(a, (a + g) % 3).grade_of() == g
     mixed = unit_matrix(0, 0) + unit_matrix(0, 1)
-    assert grade_of(mixed) == "mixed"
-    assert grade_of(GradedMatrix.zero()) == 0
+    assert mixed.grade_of() == "mixed"
+    assert GradedMatrix.zero().grade_of() == 0
 
 
 def test_grade_multiplies_additively():
@@ -65,7 +62,7 @@ def test_grade_multiplies_additively():
         p = b * c
         if p.is_zero():
             continue
-        assert grade_of(p) == (gb + gc) % 3
+        assert p.grade_of() == (gb + gc) % 3
 
 
 def test_differential_of_identity_vanishes():
