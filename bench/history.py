@@ -61,6 +61,15 @@ def cases(z) -> list[Case]:
                  lambda mode=mode: z.curvature(z.pure_gauge_connection(5, mode)), _form_terms)
             for mode in (False, True)]
 
+    def d_input(mode: bool):
+        a = z.gauge.connection_form(z.pure_gauge_connection(5, mode))
+        return a.d() + a * a
+
+    # ``d`` alone, on the degree-2 form whose ``d`` the curvature takes.
+    out += [Case("forms", f"Form.d(dA + A*A), pure_gauge_connection(n, commutative={mode})",
+                 5, lambda x=d_input(mode): x.d(), _form_terms)
+            for mode in (False, True)]
+
     def lagrangian_terms(report) -> int:
         return sum(len(x.terms) for x in
                    z.action.lagrangian_sectors(z.abelian_connection(report.n)))

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeffs import CONSTANT_NAMES, CoeffExpr, JetSymbol, Word
-from .forms import Form, components
+from .forms import Form, components, word_degree
 from .gauge import Connection, abelian_connection, curvature, field_strength
 from .lincomb import LinComb, accumulate, total
 from .scalar import ONE, Scalar, ZERO, scalar
@@ -61,8 +61,7 @@ class ConjForm(LinComb):
     __slots__ = ("n", "commutative")
 
     def __init__(self, x: Form) -> None:
-        _, degree = x.grade_and_degree()
-        if x.terms and degree != 3:
+        if x.terms and x._common(word_degree) != 3:
             raise ValueError("only degree-3 forms have a conjugate-side image")
         self.n = x.n
         self.commutative = x.commutative

@@ -18,7 +18,6 @@ coefficients from Q(j).  Supports:
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
 from operator import itemgetter
 
 from .lincomb import LinComb, accumulate
@@ -171,32 +170,62 @@ def _cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
 _SPECIAL_NAMES = _PAIR_NAMES | CONSTANT_NAMES
 
 
+class _SortKeys(dict):
+    """Symbol, or ``("c", symbol)`` form letter -> ``JetSymbol.sort_key()``.
+
+    ``key=SORT_KEYS.__getitem__`` sorts with C-level lookups.  A missing
+    key is computed on first use, and the table is emptied once it holds
+    4,096 entries.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> tuple:
+        if len(self) >= 4096:
+            self.clear()
+        value = self[key] = (key[1] if len(key) == 2 else key).sort_key()
+        return value
+
+
+SORT_KEYS = _SortKeys()
+
+
 def normalize_word(word: Iterable[JetSymbol], commutative: bool) -> Word:
     word = tuple(word)
     for sym in word:
         if sym.name in _SPECIAL_NAMES:
             break
     else:
-        return tuple(sorted(word, key=JetSymbol.sort_key)) if commutative else word
+        return tuple(sorted(word, key=SORT_KEYS.__getitem__)) if commutative else word
     letters = list(word)
     if commutative:
         letters = _cancel_counted(letters)
-        letters.sort(key=JetSymbol.sort_key)
+        letters.sort(key=SORT_KEYS.__getitem__)
     else:
         # Constants are central: their canonical position is the front.
         consts = sorted(
-            (s for s in letters if s.name in CONSTANT_NAMES), key=JetSymbol.sort_key
+            (s for s in letters if s.name in CONSTANT_NAMES), key=SORT_KEYS.__getitem__
         )
         rest = [s for s in letters if s.name not in CONSTANT_NAMES]
         letters = consts + _cancel_adjacent(rest)
     return tuple(letters)
 
 
-@lru_cache(maxsize=64)
-def _uinv_derivative(barred: bool, m: int) -> Word:
-    """The word ``Uinv U_,m Uinv`` that ``-derive(Uinv, m)`` equals."""
-    uinv = JetSymbol("Uinv", barred=barred)
-    return (uinv, JetSymbol("U", derivs=(m,), barred=barred), uinv)
+def letter_derivative(sym: JetSymbol, m: int) -> list[tuple[Scalar, Word]]:
+    """``derive(sym, m)`` as [(sign, letters that replace sym)]: nothing for a
+    constant or another coordinate, 1 for ``x[m]``, ``-Uinv U_,m Uinv`` for
+    ``Uinv`` and the jet with ``m`` added for any other symbol."""
+    name, index, derivs, barred = sym
+    if name in CONSTANT_NAMES:
+        return []
+    if name == COORDINATE_BASE and index is not None:
+        return [(ONE, ())] if index == m else []
+    if name == "Uinv":
+        uinv = JetSymbol("Uinv", barred=barred)
+        return [(-ONE, (uinv, JetSymbol("U", derivs=(m,), barred=barred), uinv))]
+    # The cases above leave a jet that needs none of ``JetSymbol.__new__``'s checks.
+    return [(ONE, (tuple.__new__(JetSymbol, (name, index, tuple(sorted(derivs + (m,))),
+                                             barred)),))]
 
 
 class CoeffExpr(LinComb):
@@ -249,36 +278,24 @@ class CoeffExpr(LinComb):
     def derive(self, m: int) -> CoeffExpr:
         """Formal partial derivative: a derivation over word concatenation.
 
-        Each term changes one letter of a canonical word.  A jet in place of
-        its letter, or ``Uinv U_,m Uinv`` in place of ``Uinv``, creates no
-        cancelling pair, so such a word is only re-sorted in the commutative
-        mode.  Dropping a coordinate can bring ``U`` next to ``Uinv``
-        (``U x[m] Uinv``), so that word is normalized.
+        Each term replaces one letter of a canonical word by a term of its
+        ``letter_derivative``.  A jet in place of its letter, or
+        ``Uinv U_,m Uinv`` in place of ``Uinv``, creates no cancelling pair,
+        so such a word is only re-sorted in the commutative mode.  Dropping
+        a coordinate can bring ``U`` next to ``Uinv`` (``U x[m] Uinv``), so
+        that word is normalized.
         """
         commutative = self.commutative
         acc: dict[Word, Scalar] = {}
         for word, coeff in self.terms.items():
             for pos, sym in enumerate(word):
-                name, index, derivs, barred = sym
-                if name in CONSTANT_NAMES:
-                    continue  # constants differentiate to zero
-                head, tail = word[:pos], word[pos + 1 :]
-                if name == COORDINATE_BASE and index is not None:
-                    if index == m:
-                        accumulate(acc, normalize_word(head + tail, commutative), coeff)
-                    continue
-                if name == "Uinv":
-                    new, c = head + _uinv_derivative(barred, m) + tail, -coeff
-                else:
-                    # Constants, indexed coordinates and Uinv are handled
-                    # above, so this jet is valid without the checks of
-                    # ``JetSymbol.__new__``.
-                    jet = tuple.__new__(JetSymbol,
-                                        (name, index, tuple(sorted(derivs + (m,))), barred))
-                    new, c = head + (jet,) + tail, coeff
-                if commutative:
-                    new = tuple(sorted(new, key=JetSymbol.sort_key))
-                accumulate(acc, new, c)
+                for sign, repl in letter_derivative(sym, m):
+                    new = word[:pos] + repl + word[pos + 1 :]
+                    if not repl:
+                        new = normalize_word(new, commutative)
+                    elif commutative:
+                        new = tuple(sorted(new, key=SORT_KEYS.__getitem__))
+                    accumulate(acc, new, coeff if sign is ONE else -coeff)
         return self._like(acc)
 
     def conjugate(self, real: frozenset[str] | set[str] = frozenset()) -> CoeffExpr:

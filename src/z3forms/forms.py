@@ -34,15 +34,15 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .coeffs import CoeffExpr, JetSymbol, normalize_word
-from .lincomb import LinComb, accumulate, total
+from .coeffs import SORT_KEYS, CoeffExpr, JetSymbol, letter_derivative, normalize_word
+from .lincomb import LinComb, accumulate, common_value, total
 from .scalar import J, ONE, Scalar, jpow
 
 # A form-word letter is ("c", JetSymbol) | ("dx", int) | ("ddx", int).
 Letter = tuple[str, object]
 FormWord = tuple[Letter, ...]
-# The derivatives of one coefficient run along q: (dx[q], [(coefficient, run)]).
-DerivedGroup = tuple[Letter, list[tuple[Scalar, FormWord]]]
+# The derivatives of one coefficient run along q: (dx[q], [(run, coefficient)]).
+DerivedGroup = tuple[Letter, list[tuple[FormWord, Scalar]]]
 
 # A letter's grade is its degree mod 3.
 _DEGREE = {"c": 0, "dx": 1, "ddx": 2}
@@ -94,33 +94,33 @@ def _canonical_generators(
     raise AssertionError(f"impossible degree-3 generator pattern {kinds}")
 
 
-def _joined(runs: list[FormWord], commutative: bool) -> FormWord:
-    """The coefficient runs of a degree-3 word joined into its one run."""
-    if len(runs) < 2:
-        return runs[0] if runs else ()
-    syms = normalize_word([l[1] for run in runs for l in run], commutative)
+def _letters(syms: Iterable[JetSymbol]) -> FormWord:
+    """Coefficient symbols as the letters of a form word."""
     return tuple(("c", s) for s in syms)
 
 
-def _normalize_runs(word: FormWord, commutative: bool) -> FormWord:
-    """Normalize every maximal coefficient run in place (cancellations, sorting)."""
-    out: list[Letter] = []
-    run: list[JetSymbol] = []
+def _normal_run(run: Iterable[Letter], commutative: bool) -> FormWord:
+    """A coefficient run, given as form letters, in normal form."""
+    return _letters(normalize_word([l[1] for l in run], commutative))
 
-    def flush() -> None:
-        if run:
-            for sym in normalize_word(tuple(run), commutative):
-                out.append(("c", sym))
-            run.clear()
 
-    for letter in word:
-        if letter[0] == "c":
-            run.append(letter[1])  # type: ignore[arg-type]
-        else:
-            flush()
-            out.append(letter)
-    flush()
-    return tuple(out)
+def _substituted(run: FormWord, pos: int, repl: FormWord, clean: bool,
+                 commutative: bool) -> FormWord:
+    """``run`` with the letter at ``pos`` replaced by ``repl``, in normal form.
+
+    As in ``CoeffExpr.derive``, a ``clean`` run (canonical, up to order in
+    the commutative mode) is only re-sorted in the commutative mode unless
+    a coordinate dropped out.
+    """
+    new = run[:pos] + repl + run[pos + 1 :]
+    if not repl or not clean:
+        return _normal_run(new, commutative)
+    return tuple(sorted(new, key=SORT_KEYS.__getitem__)) if commutative else new
+
+
+def _split(word: FormWord) -> tuple[FormWord, tuple[JetSymbol, ...]]:
+    """(generator letters, coefficient symbols) of a form word."""
+    return (tuple(l for l in word if l[0] != "c"), tuple(l[1] for l in word if l[0] == "c"))
 
 
 def normalize_form_word(
@@ -131,12 +131,16 @@ def normalize_form_word(
     if degree > 3:
         return []
     if degree == 3:
-        got = _canonical_generators(tuple(l for l in word if l[0] != "c"))
+        gens, syms = _split(word)
+        got = _canonical_generators(gens)
         if got is None:
             return []
-        run = normalize_word([l[1] for l in word if l[0] == "c"], commutative)
-        return [(got[0], tuple(("c", s) for s in run) + got[1])]
-    return [(ONE, _normalize_runs(word, commutative))]
+        return [(got[0], _letters(normalize_word(syms, commutative)) + got[1])]
+    # Below degree 3 every maximal coefficient run is normalized in place.
+    out: list[Letter] = []
+    for kind, group in groupby(word, itemgetter(0)):
+        out.extend(_normal_run(group, commutative) if kind == "c" else group)
+    return [(ONE, tuple(out))]
 
 
 class Form(LinComb):
@@ -172,28 +176,38 @@ class Form(LinComb):
         # products skip the index check; degrees above 3 are never built.
         # Below degree 3 rules b-d do not apply, and every run of w1 + w2
         # stays maximal and normalized unless w1 ends in a run that w2
-        # starts with: such a pair is canonical as built, as in ``d``.
+        # starts with: such a pair is canonical as built, as in ``d``.  At
+        # degree 3 each word is split into its generators and coefficient
+        # symbols once, not once per pair.
         self._check(other)
+        commutative = self.commutative
         acc: dict[FormWord, Scalar] = {}
-        right = [(w2, c2, word_degree(w2), bool(w2) and w2[0][0] == "c")
+        right = [(w2, c2, word_degree(w2), bool(w2) and w2[0][0] == "c", _split(w2))
                  for w2, c2 in other.terms.items()]
         for w1, c1 in self.terms.items():
             degree1 = word_degree(w1)
             ends_in_run = bool(w1) and w1[-1][0] == "c"
-            for w2, c2, degree2, starts_with_run in right:
+            gens1, syms1 = _split(w1)
+            for w2, c2, degree2, starts_with_run, (gens2, syms2) in right:
                 degree = degree1 + degree2
                 if degree < 3 and not (ends_in_run and starts_with_run):
                     accumulate(acc, w1 + w2, c1 * c2)
-                elif degree <= 3:
-                    for phase, canon in normalize_form_word(w1 + w2, self.commutative):
+                elif degree < 3:
+                    for phase, canon in normalize_form_word(w1 + w2, commutative):
                         accumulate(acc, canon, c1 * c2 * phase)
+                elif degree == 3:
+                    got = _canonical_generators(gens1 + gens2)
+                    if got is not None:
+                        run = _letters(normalize_word(syms1 + syms2, commutative))
+                        accumulate(acc, run + got[1], c1 * c2 * got[0])
         return self._like(acc)
 
     # -- grading ----------------------------------------------------------------
 
     def grade_and_degree(self) -> tuple[int | str, int | str]:
         """Common (grade, degree) of all terms, or "mixed"; zero form is (0, 0)."""
-        return (self._common(word_grade), self._common(word_degree))
+        degrees = {word_degree(word) for word in self.terms}
+        return (common_value({d % 3 for d in degrees}), common_value(degrees))
 
     # -- differential ------------------------------------------------------------
 
@@ -201,59 +215,70 @@ class Form(LinComb):
         """The graded differential (block-atomic on coefficient runs).
 
         One walk over each word visits every maximal coefficient run and
-        every generator once.  Each new term has one degree more than its
-        word, so words of degree 3 contribute nothing.  Below degree 3 a
-        new term is canonical as built: a derived run is normalized by
-        ``derive`` and sits between a generator (or the start) and
-        ``dx[q]``, so every run stays maximal; ``dx -> ddx`` changes no
-        run.  A new term of degree 3 is the word's runs joined into one run
-        (normalized only when there are two or more runs), then the
-        canonical generator word; a degree-2 word is split into its runs
-        and generators once, and its generator word and phase are
-        canonicalized once per run and q.
+        every generator once; words of degree 3 contribute nothing.  A run
+        term replaces one letter by a term of its ``letter_derivative``.
+        Below degree 3 a new term is canonical as built: the derived run is
+        normalized as ``_substituted`` says and stays maximal, and
+        ``dx -> ddx`` changes no run.  A new term of degree 3 is the word's
+        runs, concatenated, with one letter substituted (or, for ``ddx``,
+        normalized once per word), then the canonical generator word, whose
+        phase is computed once per run and q.
         """
         acc: dict[FormWord, Scalar] = {}
-        # Per run: its derivatives grouped by q, computed once per call.
-        derived: dict[FormWord, list[DerivedGroup]] = {}
         commutative = self.commutative
+        # Per call: each letter's derivatives, and each run's, by q.
+        letters: dict[Letter, list[list]] = {}
+        derived: dict[FormWord, list[DerivedGroup]] = {}
         for word, coeff in self.terms.items():
             degree = word_degree(word)
             if degree == 3:
                 continue
             top = degree == 2
             if top:
-                runs = [tuple(run) for kind, run in groupby(word, itemgetter(0))
-                        if kind == "c"]
+                concat = tuple(l for l in word if l[0] == "c")
                 gens = tuple(l for l in word if l[0] != "c")
-                joined = _joined(runs, commutative)
+                joined = _normal_run(concat, commutative)
+                # Clean: canonical as concatenated, up to order when commutative.
+                clean = len(joined) == len(concat) if commutative else joined == concat
             size = len(word)
-            prefix_grade = pos = r = g = 0  # grade, runs and generators before pos
+            prefix_grade = pos = g = offset = 0  # grade, generators and run letters before pos
             while pos < size:
                 kind, payload = word[pos]
                 end = pos + 1
-                before = word[:pos]
                 if kind == "c":
                     while end < size and word[end][0] == "c":
                         end += 1
-                    after = word[end:]
                     c = coeff * jpow(prefix_grade)
-                    for dxq, group in self._run_derivatives(word[pos:end], derived):
-                        if not top:
-                            for cc, run in group:
+                    if not top:
+                        before, after = word[:pos], word[end:]
+                        for dxq, group in self._run_derivatives(word[pos:end], letters,
+                                                                derived):
+                            for run, cc in group:
                                 accumulate(acc, before + run + (dxq,) + after, c * cc)
-                            continue
-                        got = _canonical_generators(gens[:g] + (dxq,) + gens[g:])
-                        if got is not None:
-                            phase, canon = c * got[0], got[1]
-                            for cc, run in group:
-                                new = _joined(runs[:r] + [run] + runs[r + 1 :], commutative)
-                                accumulate(acc, new + canon, phase * cc)
-                    r += 1
+                    else:
+                        tables = [self._letter_derivatives(l, letters) for l in word[pos:end]]
+                        for q in range(1, self.n + 1):
+                            got = _canonical_generators(gens[:g] + (("dx", q),) + gens[g:])
+                            if got is None:
+                                continue
+                            # Two positions can give one run; the normal form
+                            # of the concatenation is injective in the
+                            # derived run, so this groups as ``derive`` does.
+                            group: dict[FormWord, Scalar] = {}
+                            for p, table in enumerate(tables, offset):
+                                for sign, repl in table[q - 1]:
+                                    accumulate(group, _substituted(concat, p, repl, clean,
+                                                                   commutative), sign)
+                            if group:
+                                phase, canon = c * got[0], got[1]
+                                for run, cc in group.items():
+                                    accumulate(acc, run + canon, phase * cc)
+                        offset += len(tables)
                 elif kind == "dx":
                     c = coeff * jpow(prefix_grade)
                     ddx = ("ddx", payload)
                     if not top:
-                        accumulate(acc, before + (ddx,) + word[end:], c)
+                        accumulate(acc, word[:pos] + (ddx,) + word[end:], c)
                     else:
                         got = _canonical_generators(gens[:g] + (ddx,) + gens[g + 1 :])
                         if got is not None:
@@ -265,19 +290,29 @@ class Form(LinComb):
                 pos = end
         return self._like(acc)
 
-    def _run_derivatives(self, run: FormWord, derived: dict) -> list[DerivedGroup]:
-        """[(dx[q], [(coefficient, derive(run, q) word)])] for every q whose
-        derivative is nonzero, once per run."""
+    def _letter_derivatives(self, letter: Letter, letters: dict) -> list[list]:
+        """The derivatives of one coefficient letter along q = 1..n, once per call."""
+        out = letters.get(letter)
+        if out is None:
+            out = letters[letter] = [
+                [(sign, _letters(repl)) for sign, repl in letter_derivative(letter[1], q)]
+                for q in range(1, self.n + 1)]
+        return out
+
+    def _run_derivatives(self, run: FormWord, letters: dict,
+                         derived: dict) -> list[DerivedGroup]:
+        """[(dx[q], [(derive(run, q) word, coefficient)])] for every q whose
+        derivative is nonzero, in one walk over the run, once per call."""
         out = derived.get(run)
         if out is None:
-            word = tuple(l[1] for l in run)  # canonical already
-            expr = CoeffExpr.zero(self.commutative)._like({word: ONE})
-            out = derived[run] = []
-            for q in range(1, self.n + 1):
-                group = [(cc, tuple(("c", s) for s in cw))
-                         for cw, cc in expr.derive(q).terms.items()]
-                if group:
-                    out.append((("dx", q), group))
+            groups: list[dict[FormWord, Scalar]] = [{} for _ in range(self.n)]
+            for pos, letter in enumerate(run):
+                for group, table in zip(groups, self._letter_derivatives(letter, letters)):
+                    for sign, repl in table:
+                        accumulate(group, _substituted(run, pos, repl, True,
+                                                       self.commutative), sign)
+            out = derived[run] = [(("dx", q), list(group.items()))
+                                  for q, group in enumerate(groups, 1) if group]
         return out
 
     # -- rendering -----------------------------------------------------------
@@ -295,7 +330,7 @@ def coefficient_form(x: CoeffExpr, n: int) -> Form:
     """Embed a coefficient expression as a degree-0 form."""
     return Form(
         n,
-        ((c, tuple(("c", s) for s in w)) for w, c in x.terms.items()),
+        ((c, _letters(w)) for w, c in x.terms.items()),
         x.commutative,
     )
 
@@ -334,23 +369,17 @@ class ComponentTable:
 
 def components(x: Form) -> ComponentTable:
     """Decompose a degree-3 form into its two coefficient tables."""
-    _, degree = x.grade_and_degree()
-    if x.terms and degree != 3:
+    if x.terms and x._common(word_degree) != 3:
         raise ValueError("components are defined for forms of degree 3 only")
-    # Each generator word meets a given run once, so the runs of one
-    # index are distinct and canonical already.
+    # A canonical degree-3 word is its run, then ``ddx dx`` or ``dx dx dx``.
+    # Each generator word meets a given run once, so the runs of one index
+    # are distinct and canonical already.
     t3: dict[tuple[int, int, int], dict] = {}
     t21: dict[tuple[int, int], dict] = {}
     for word, coeff in x.terms.items():
-        gens = [l for l in word if l[0] != "c"]
-        run = tuple(l[1] for l in word if l[0] == "c")
-        kinds = tuple(g[0] for g in gens)
-        if kinds == ("dx", "dx", "dx"):
-            t3.setdefault((gens[0][1], gens[1][1], gens[2][1]), {})[run] = coeff
-        elif kinds == ("ddx", "dx"):
-            t21.setdefault((gens[0][1], gens[1][1]), {})[run] = coeff
-        else:  # pragma: no cover - normalization precludes this
-            raise AssertionError(f"non-canonical degree-3 word {word}")
+        size, table = (2, t21) if word[-2][0] == "ddx" else (3, t3)
+        table.setdefault(tuple(l[1] for l in word[-size:]), {})[
+            tuple(l[1] for l in word[:-size])] = coeff
     zero = CoeffExpr.zero(x.commutative)
     return ComponentTable({k: zero._like(v) for k, v in t3.items()},
                           {k: zero._like(v) for k, v in t21.items()},
@@ -362,10 +391,10 @@ def form_from_components(table: ComponentTable) -> Form:
     items = []
     for (i, k, m), expr in table.T3.items():
         gens = (("dx", i), ("dx", k), ("dx", m))
-        items += [(c, tuple(("c", s) for s in w) + gens) for w, c in expr.terms.items()]
+        items += [(c, _letters(w) + gens) for w, c in expr.terms.items()]
     for (i, k), expr in table.T21.items():
         gens = (("ddx", i), ("dx", k))
-        items += [(c, tuple(("c", s) for s in w) + gens) for w, c in expr.terms.items()]
+        items += [(c, _letters(w) + gens) for w, c in expr.terms.items()]
     return Form(table.n, items, table.commutative)
 
 

@@ -43,6 +43,13 @@ def total(start: LinComb, values: Iterable[LinComb]) -> LinComb:
     return start._like(terms)
 
 
+def common_value(values: set[int]) -> int | str:
+    """The one value in ``values``, "mixed" if there are several, 0 if none."""
+    if not values:
+        return 0
+    return values.pop() if len(values) == 1 else "mixed"
+
+
 class LinComb:
     """Base class: the linear structure, equality and hashing of a value."""
 
@@ -100,10 +107,7 @@ class LinComb:
 
     def _common(self, key: Callable[[Any], int]) -> int | str:
         """``key(word)`` shared by every term, "mixed" if two differ, 0 without terms."""
-        values = {key(word) for word in self.terms}
-        if not values:
-            return 0
-        return values.pop() if len(values) == 1 else "mixed"
+        return common_value({key(word) for word in self.terms})
 
     def _params(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

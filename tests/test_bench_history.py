@@ -23,3 +23,13 @@ def test_curvature_record_has_the_history_keys():
     assert record["layer"] == "gauge" and record["repeats"] == 1
     assert record["terms"] == len(z3forms.curvature(z3forms.generic_connection(2)).terms)
     assert record["median_s"] > 0
+
+
+def test_forms_case_times_d_of_the_degree_two_part():
+    got = {c.case: c for c in history.cases(z3forms) if c.layer == "forms"}
+    assert len(got) == 2
+    for mode in (False, True):
+        case = got[f"Form.d(dA + A*A), pure_gauge_connection(n, commutative={mode})"]
+        a = z3forms.gauge.connection_form(z3forms.pure_gauge_connection(5, mode))
+        want = (a.d() + a * a).d()
+        assert case.run() == want and case.terms(case.run()) == len(want.terms)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from z3forms import CoeffExpr, JetSymbol
+from z3forms.coeffs import SORT_KEYS, normalize_word
 from z3forms.scalar import J, Scalar
 
 
@@ -153,3 +154,39 @@ def test_commutative_words_sorted():
     assert f * g == g * f
     fng, gnf = sym_expr("f") * sym_expr("g"), sym_expr("g") * sym_expr("f")
     assert fng != gnf
+
+
+# -- the commutative sort-key table ----------------------------------------------
+
+#: The letters the coefficient and form strategies draw, plus the unindexed
+#: and indexed pair ``A`` / ``A[1]``, whose indices None and 1 do not compare.
+KEYED = [JetSymbol("f"), JetSymbol("g"), JetSymbol("g", 1), JetSymbol("f", derivs=(1,)),
+         JetSymbol("A"), JetSymbol("A", 1), JetSymbol("A", 2, (1, 2)),
+         JetSymbol("f", barred=True), JetSymbol("A", 1, barred=True),
+         JetSymbol("x", 1), JetSymbol("x", 2), JetSymbol("U"), JetSymbol("Uinv"),
+         JetSymbol("U", barred=True), JetSymbol("Uinv", barred=True),
+         JetSymbol("U", derivs=(2,)), JetSymbol("mu")]
+
+
+def test_sort_key_table_matches_sort_key():
+    for sym in KEYED:
+        assert SORT_KEYS[sym] == sym.sort_key()
+        assert SORT_KEYS[("c", sym)] == sym.sort_key()
+
+
+def test_commutative_normalize_word_sorts_by_sort_key():
+    rng = random.Random(19)
+    # Without both letters of a pair, nothing cancels, so the normal form
+    # is the sorted word.
+    letters = [s for s in KEYED if s.name != "Uinv"]
+    for _ in range(200):
+        word = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(word)
+        assert normalize_word(word, True) == tuple(sorted(word, key=JetSymbol.sort_key))
+
+
+def test_sort_key_table_stays_bounded():
+    for i in range(5000):
+        sym = JetSymbol("f", i)
+        assert SORT_KEYS[sym] == sym.sort_key()
+    assert 0 < len(SORT_KEYS) <= 4096

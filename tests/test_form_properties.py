@@ -131,6 +131,61 @@ def assert_canonical(x: Form) -> None:
         assert normalize_form_word(word, x.commutative) == [(ONE, word)]
 
 
+# -- inputs the strategies cannot build -----------------------------------------
+
+
+def _c(name: str, index: int | None = None, derivs: tuple = ()) -> tuple:
+    return ("c", JetSymbol(name, index, derivs))
+
+
+#: Words with runs of three letters, which ``runs`` never draws.
+EDGE_WORDS = {
+    # At q = 1 two positions give the word Uinv U_,1 Uinv U_,1 Uinv.
+    "Uinv U_,1 Uinv dx[1] dx[2]":
+        (_c("Uinv"), _c("U", derivs=(1,)), _c("Uinv"), ("dx", 1), ("dx", 2)),
+    # The runs cancel where they meet, across a generator.
+    "f U dx[1] Uinv g dx[2]":
+        (_c("f"), _c("U"), ("dx", 1), _c("Uinv"), _c("g"), ("dx", 2)),
+    # Dropping x[1] makes U and Uinv meet.
+    "U x[1] dx[2] Uinv dx[1]":
+        (_c("U"), _c("x", 1), ("dx", 2), _c("Uinv"), ("dx", 1)),
+    "mu f f ddx[2] x[2]": (_c("mu"), _c("f"), _c("f"), ("ddx", 2), _c("x", 2)),
+    "x[1] x[1] dx[1] U dx[2] Uinv":
+        (_c("x", 1), _c("x", 1), ("dx", 1), _c("U"), ("dx", 2), _c("Uinv")),
+}
+
+
+#: ``Uinv dx[1] U_,1 Uinv dx[2]`` gives the word with two positions above
+#: with coefficient -1 - j, and that word gives it with -2 times its own
+#: coefficient: adding the terms one at a time would cancel it, then put it
+#: back at the end.
+SAME_WORD_TWICE = [
+    (ONE, (_c("Uinv"), ("dx", 1), _c("U", derivs=(1,)), _c("Uinv"), ("dx", 2))),
+    (-(ONE + jpow(1)), EDGE_WORDS["Uinv U_,1 Uinv dx[1] dx[2]"]),
+]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("commutative", (False, True))
+@pytest.mark.parametrize("text", [*EDGE_WORDS, "all", "cancel"])
+def test_d_matches_generic_path_on_long_runs(text, commutative, n):
+    if text == "cancel":
+        items = SAME_WORD_TWICE
+    else:
+        words = list(EDGE_WORDS.values()) if text == "all" else [EDGE_WORDS[text]]
+        items = [(SCALARS[i], w) for i, w in enumerate(words)]
+    # Each word, and its head before the last generator: d of the head
+    # reaches the word's degree, so d∘d goes through the degree-2 path.
+    heads = [(c, w[:max(i for i, l in enumerate(w) if l[0] != "c")]) for c, w in items]
+    for raw in (items, heads):
+        x = Form(n, raw, commutative)
+        once, twice = x.d(), x.d().d()
+        assert same_terms_in_order(once, ref_d(x))
+        assert same_terms_in_order(twice, ref_d(ref_d(x)))
+        assert_canonical(once)
+        assert_canonical(twice)
+
+
 # -- properties ---------------------------------------------------------------
 
 

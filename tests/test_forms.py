@@ -378,6 +378,23 @@ def test_components_round_trip():
         assert back == w
 
 
+def test_components_check_only_the_degree():
+    n = 3
+    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
+    message = "components are defined for forms of degree 3 only"
+    with pytest.raises(ValueError, match=message):
+        components(f * dx(1, n) * dx(2, n))
+    with pytest.raises(ValueError, match=message):
+        components(ddx(1, n) + f * ddx(2, n) * dx(1, n))
+    table = components(Form.zero(n))
+    assert (table.T3, table.T21) == ({}, {})
+    # A canonical word ends in its generators: ddx dx, or a least dx-triple.
+    mixed = f * (ddx(2, n) * dx(1, n) + dx(3, n) * dx(1, n) * dx(2, n))
+    table = components(mixed)
+    assert list(table.T21) == [(2, 1)] and list(table.T3) == [(1, 2, 3)]
+    assert form_from_components(table) == mixed
+
+
 def test_redistribute_preserves_class():
     rng = random.Random(56)
     n = 3
