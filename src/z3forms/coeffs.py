@@ -171,7 +171,7 @@ _SPECIAL_NAMES = _PAIR_NAMES | CONSTANT_NAMES
 
 
 class _SortKeys(dict):
-    """Symbol, or ``("c", symbol)`` form letter -> ``JetSymbol.sort_key()``.
+    """Symbol -> ``JetSymbol.sort_key()``.
 
     ``key=SORT_KEYS.__getitem__`` sorts with C-level lookups.  A missing
     key is computed on first use, and the table is emptied once it holds
@@ -183,7 +183,7 @@ class _SortKeys(dict):
     def __missing__(self, key: tuple) -> tuple:
         if len(self) >= 4096:
             self.clear()
-        value = self[key] = (key[1] if len(key) == 2 else key).sort_key()
+        value = self[key] = key.sort_key()
         return value
 
 
@@ -226,6 +226,23 @@ def letter_derivative(sym: JetSymbol, m: int) -> list[tuple[Scalar, Word]]:
     # The cases above leave a jet that needs none of ``JetSymbol.__new__``'s checks.
     return [(ONE, (tuple.__new__(JetSymbol, (name, index, tuple(sorted(derivs + (m,))),
                                              barred)),))]
+
+
+def substitute(word: Word, pos: int, repl: Word, clean: bool, commutative: bool) -> Word:
+    """``word`` with the letter at ``pos`` replaced by ``repl``, in normal form.
+
+    ``repl`` is a term of that letter's ``letter_derivative``.  A jet in
+    place of its letter, or ``Uinv U_,m Uinv`` in place of ``Uinv``,
+    creates no cancelling pair, so a ``clean`` word (canonical, up to
+    order in the commutative mode) is only re-sorted in the commutative
+    mode.  Dropping a coordinate can bring ``U`` next to ``Uinv``
+    (``U x[m] Uinv``), so that word is normalized, and so is a word that
+    is not clean.
+    """
+    new = word[:pos] + repl + word[pos + 1 :]
+    if not repl or not clean:
+        return normalize_word(new, commutative)
+    return tuple(sorted(new, key=SORT_KEYS.__getitem__)) if commutative else new
 
 
 class CoeffExpr(LinComb):
@@ -279,23 +296,15 @@ class CoeffExpr(LinComb):
         """Formal partial derivative: a derivation over word concatenation.
 
         Each term replaces one letter of a canonical word by a term of its
-        ``letter_derivative``.  A jet in place of its letter, or
-        ``Uinv U_,m Uinv`` in place of ``Uinv``, creates no cancelling pair,
-        so such a word is only re-sorted in the commutative mode.  Dropping
-        a coordinate can bring ``U`` next to ``Uinv`` (``U x[m] Uinv``), so
-        that word is normalized.
+        ``letter_derivative``, in normal form as ``substitute`` gives it.
         """
         commutative = self.commutative
         acc: dict[Word, Scalar] = {}
         for word, coeff in self.terms.items():
             for pos, sym in enumerate(word):
                 for sign, repl in letter_derivative(sym, m):
-                    new = word[:pos] + repl + word[pos + 1 :]
-                    if not repl:
-                        new = normalize_word(new, commutative)
-                    elif commutative:
-                        new = tuple(sorted(new, key=SORT_KEYS.__getitem__))
-                    accumulate(acc, new, coeff if sign is ONE else -coeff)
+                    accumulate(acc, substitute(word, pos, repl, True, commutative),
+                               coeff if sign is ONE else -coeff)
         return self._like(acc)
 
     def conjugate(self, real: frozenset[str] | set[str] = frozenset()) -> CoeffExpr:

@@ -7,6 +7,11 @@ generators.  Functions multiply forms on the left only; coefficient runs
 sitting between generators are part of the word and are NOT moved across
 generators below total degree 3.
 
+A word is a tuple of letters.  A coefficient letter is the ``JetSymbol``
+itself; a generator is the plain tuple ``("dx", i)`` or ``("ddx", i)``.
+The two are told apart by type, never by name: a symbol named ``dx`` is
+a coefficient.
+
 Normalization rules, applied to every stored word:
 
 a. total degree > 3            -> 0
@@ -31,32 +36,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .coeffs import SORT_KEYS, CoeffExpr, JetSymbol, letter_derivative, normalize_word
+from .coeffs import CoeffExpr, JetSymbol, letter_derivative, normalize_word, substitute
 from .lincomb import LinComb, accumulate, common_value, total
 from .scalar import J, ONE, Scalar, jpow
 
-# A form-word letter is ("c", JetSymbol) | ("dx", int) | ("ddx", int).
-Letter = tuple[str, object]
+# A form-word letter is a JetSymbol, ("dx", int) or ("ddx", int); a letter
+# is a generator exactly when ``type(letter) is tuple``.
+Letter = JetSymbol | tuple[str, int]
 FormWord = tuple[Letter, ...]
 # The derivatives of one coefficient run along q: (dx[q], [(run, coefficient)]).
 DerivedGroup = tuple[Letter, list[tuple[FormWord, Scalar]]]
 
-# A letter's grade is its degree mod 3.
-_DEGREE = {"c": 0, "dx": 1, "ddx": 2}
+# A generator's degree; a coefficient letter has degree 0.  A letter's
+# grade is its degree mod 3.
+_DEGREE = {"dx": 1, "ddx": 2}
 
 
 def word_degree(word: FormWord) -> int:
     degree = 0
-    for kind, _ in word:
-        degree += _DEGREE[kind]
+    for letter in word:
+        if type(letter) is tuple:
+            degree += _DEGREE[letter[0]]
     return degree
-
-
-def word_grade(word: FormWord) -> int:
-    return word_degree(word) % 3
 
 
 def canonical_cycle(triple: tuple, phase_step: int = 1) -> tuple[Scalar, tuple] | None:
@@ -94,33 +97,10 @@ def _canonical_generators(
     raise AssertionError(f"impossible degree-3 generator pattern {kinds}")
 
 
-def _letters(syms: Iterable[JetSymbol]) -> FormWord:
-    """Coefficient symbols as the letters of a form word."""
-    return tuple(("c", s) for s in syms)
-
-
-def _normal_run(run: Iterable[Letter], commutative: bool) -> FormWord:
-    """A coefficient run, given as form letters, in normal form."""
-    return _letters(normalize_word([l[1] for l in run], commutative))
-
-
-def _substituted(run: FormWord, pos: int, repl: FormWord, clean: bool,
-                 commutative: bool) -> FormWord:
-    """``run`` with the letter at ``pos`` replaced by ``repl``, in normal form.
-
-    As in ``CoeffExpr.derive``, a ``clean`` run (canonical, up to order in
-    the commutative mode) is only re-sorted in the commutative mode unless
-    a coordinate dropped out.
-    """
-    new = run[:pos] + repl + run[pos + 1 :]
-    if not repl or not clean:
-        return _normal_run(new, commutative)
-    return tuple(sorted(new, key=SORT_KEYS.__getitem__)) if commutative else new
-
-
 def _split(word: FormWord) -> tuple[FormWord, tuple[JetSymbol, ...]]:
     """(generator letters, coefficient symbols) of a form word."""
-    return (tuple(l for l in word if l[0] != "c"), tuple(l[1] for l in word if l[0] == "c"))
+    return (tuple(l for l in word if type(l) is tuple),
+            tuple(l for l in word if type(l) is not tuple))
 
 
 def normalize_form_word(
@@ -135,11 +115,11 @@ def normalize_form_word(
         got = _canonical_generators(gens)
         if got is None:
             return []
-        return [(got[0], _letters(normalize_word(syms, commutative)) + got[1])]
+        return [(got[0], normalize_word(syms, commutative) + got[1])]
     # Below degree 3 every maximal coefficient run is normalized in place.
     out: list[Letter] = []
-    for kind, group in groupby(word, itemgetter(0)):
-        out.extend(_normal_run(group, commutative) if kind == "c" else group)
+    for kind, group in groupby(word, type):
+        out.extend(group if kind is tuple else normalize_word(group, commutative))
     return [(ONE, tuple(out))]
 
 
@@ -160,8 +140,10 @@ class Form(LinComb):
         self.commutative = commutative
         acc: dict[FormWord, Scalar] = {}
         for coeff, word in terms:
-            for index in (l[1] for l in word if l[0] in ("dx", "ddx")):
-                if not 1 <= index <= n:  # type: ignore[operator]
+            for kind, index in (l for l in word if type(l) is tuple):
+                if kind not in _DEGREE:
+                    raise ValueError(f"unknown generator kind {kind!r}")
+                if not 1 <= index <= n:
                     raise ValueError(f"generator index {index} out of range 1..{n}")
             for phase, canon in normalize_form_word(word, commutative):
                 accumulate(acc, canon, coeff * phase)
@@ -182,11 +164,11 @@ class Form(LinComb):
         self._check(other)
         commutative = self.commutative
         acc: dict[FormWord, Scalar] = {}
-        right = [(w2, c2, word_degree(w2), bool(w2) and w2[0][0] == "c", _split(w2))
+        right = [(w2, c2, word_degree(w2), bool(w2) and type(w2[0]) is not tuple, _split(w2))
                  for w2, c2 in other.terms.items()]
         for w1, c1 in self.terms.items():
             degree1 = word_degree(w1)
-            ends_in_run = bool(w1) and w1[-1][0] == "c"
+            ends_in_run = bool(w1) and type(w1[-1]) is not tuple
             gens1, syms1 = _split(w1)
             for w2, c2, degree2, starts_with_run, (gens2, syms2) in right:
                 degree = degree1 + degree2
@@ -198,7 +180,7 @@ class Form(LinComb):
                 elif degree == 3:
                     got = _canonical_generators(gens1 + gens2)
                     if got is not None:
-                        run = _letters(normalize_word(syms1 + syms2, commutative))
+                        run = normalize_word(syms1 + syms2, commutative)
                         accumulate(acc, run + got[1], c1 * c2 * got[0])
         return self._like(acc)
 
@@ -218,7 +200,7 @@ class Form(LinComb):
         every generator once; words of degree 3 contribute nothing.  A run
         term replaces one letter by a term of its ``letter_derivative``.
         Below degree 3 a new term is canonical as built: the derived run is
-        normalized as ``_substituted`` says and stays maximal, and
+        normalized as ``substitute`` says and stays maximal, and
         ``dx -> ddx`` changes no run.  A new term of degree 3 is the word's
         runs, concatenated, with one letter substituted (or, for ``ddx``,
         normalized once per word), then the canonical generator word, whose
@@ -235,58 +217,59 @@ class Form(LinComb):
                 continue
             top = degree == 2
             if top:
-                concat = tuple(l for l in word if l[0] == "c")
-                gens = tuple(l for l in word if l[0] != "c")
-                joined = _normal_run(concat, commutative)
+                gens, concat = _split(word)
+                joined = normalize_word(concat, commutative)
                 # Clean: canonical as concatenated, up to order when commutative.
                 clean = len(joined) == len(concat) if commutative else joined == concat
             size = len(word)
             prefix_grade = pos = g = offset = 0  # grade, generators and run letters before pos
             while pos < size:
-                kind, payload = word[pos]
-                end = pos + 1
-                if kind == "c":
-                    while end < size and word[end][0] == "c":
-                        end += 1
-                    c = coeff * jpow(prefix_grade)
-                    if not top:
-                        before, after = word[:pos], word[end:]
-                        for dxq, group in self._run_derivatives(word[pos:end], letters,
-                                                                derived):
-                            for run, cc in group:
-                                accumulate(acc, before + run + (dxq,) + after, c * cc)
-                    else:
-                        tables = [self._letter_derivatives(l, letters) for l in word[pos:end]]
-                        for q in range(1, self.n + 1):
-                            got = _canonical_generators(gens[:g] + (("dx", q),) + gens[g:])
-                            if got is None:
-                                continue
-                            # Two positions can give one run; the normal form
-                            # of the concatenation is injective in the
-                            # derived run, so this groups as ``derive`` does.
-                            group: dict[FormWord, Scalar] = {}
-                            for p, table in enumerate(tables, offset):
-                                for sign, repl in table[q - 1]:
-                                    accumulate(group, _substituted(concat, p, repl, clean,
-                                                                   commutative), sign)
-                            if group:
-                                phase, canon = c * got[0], got[1]
-                                for run, cc in group.items():
-                                    accumulate(acc, run + canon, phase * cc)
-                        offset += len(tables)
-                elif kind == "dx":
-                    c = coeff * jpow(prefix_grade)
-                    ddx = ("ddx", payload)
-                    if not top:
-                        accumulate(acc, word[:pos] + (ddx,) + word[end:], c)
-                    else:
-                        got = _canonical_generators(gens[:g] + (ddx,) + gens[g + 1 :])
-                        if got is not None:
-                            accumulate(acc, joined + got[1], c * got[0])
-                # d(ddx) == 0: no term
-                if kind != "c":
+                letter = word[pos]
+                if type(letter) is tuple:
+                    kind, index = letter
+                    if kind == "dx":
+                        c = coeff * jpow(prefix_grade)
+                        ddx = ("ddx", index)
+                        if not top:
+                            accumulate(acc, word[:pos] + (ddx,) + word[pos + 1 :], c)
+                        else:
+                            got = _canonical_generators(gens[:g] + (ddx,) + gens[g + 1 :])
+                            if got is not None:
+                                accumulate(acc, joined + got[1], c * got[0])
+                    # d(ddx) == 0: no term
                     g += 1
-                prefix_grade += _DEGREE[kind]  # a coefficient run has grade 0
+                    prefix_grade += _DEGREE[kind]
+                    pos += 1
+                    continue
+                # A maximal coefficient run word[pos:end], of grade 0.
+                end = pos + 1
+                while end < size and type(word[end]) is not tuple:
+                    end += 1
+                c = coeff * jpow(prefix_grade)
+                if not top:
+                    before, after = word[:pos], word[end:]
+                    for dxq, group in self._run_derivatives(word[pos:end], letters, derived):
+                        for run, cc in group:
+                            accumulate(acc, before + run + (dxq,) + after, c * cc)
+                else:
+                    tables = [self._letter_derivatives(l, letters) for l in word[pos:end]]
+                    for q in range(1, self.n + 1):
+                        got = _canonical_generators(gens[:g] + (("dx", q),) + gens[g:])
+                        if got is None:
+                            continue
+                        # Two positions can give one run; the normal form of
+                        # the concatenation is injective in the derived run,
+                        # so this groups as ``derive`` does.
+                        group: dict[FormWord, Scalar] = {}
+                        for p, table in enumerate(tables, offset):
+                            for sign, repl in table[q - 1]:
+                                accumulate(group, substitute(concat, p, repl, clean,
+                                                             commutative), sign)
+                        if group:
+                            phase, canon = c * got[0], got[1]
+                            for run, cc in group.items():
+                                accumulate(acc, run + canon, phase * cc)
+                    offset += len(tables)
                 pos = end
         return self._like(acc)
 
@@ -294,9 +277,8 @@ class Form(LinComb):
         """The derivatives of one coefficient letter along q = 1..n, once per call."""
         out = letters.get(letter)
         if out is None:
-            out = letters[letter] = [
-                [(sign, _letters(repl)) for sign, repl in letter_derivative(letter[1], q)]
-                for q in range(1, self.n + 1)]
+            out = letters[letter] = [letter_derivative(letter, q)
+                                     for q in range(1, self.n + 1)]
         return out
 
     def _run_derivatives(self, run: FormWord, letters: dict,
@@ -309,8 +291,8 @@ class Form(LinComb):
             for pos, letter in enumerate(run):
                 for group, table in zip(groups, self._letter_derivatives(letter, letters)):
                     for sign, repl in table:
-                        accumulate(group, _substituted(run, pos, repl, True,
-                                                       self.commutative), sign)
+                        accumulate(group, substitute(run, pos, repl, True,
+                                                     self.commutative), sign)
             out = derived[run] = [(("dx", q), list(group.items()))
                                   for q, group in enumerate(groups, 1) if group]
         return out
@@ -330,7 +312,7 @@ def coefficient_form(x: CoeffExpr, n: int) -> Form:
     """Embed a coefficient expression as a degree-0 form."""
     return Form(
         n,
-        ((c, _letters(w)) for w, c in x.terms.items()),
+        ((c, w) for w, c in x.terms.items()),
         x.commutative,
     )
 
@@ -378,8 +360,7 @@ def components(x: Form) -> ComponentTable:
     t21: dict[tuple[int, int], dict] = {}
     for word, coeff in x.terms.items():
         size, table = (2, t21) if word[-2][0] == "ddx" else (3, t3)
-        table.setdefault(tuple(l[1] for l in word[-size:]), {})[
-            tuple(l[1] for l in word[:-size])] = coeff
+        table.setdefault(tuple(l[1] for l in word[-size:]), {})[word[:-size]] = coeff
     zero = CoeffExpr.zero(x.commutative)
     return ComponentTable({k: zero._like(v) for k, v in t3.items()},
                           {k: zero._like(v) for k, v in t21.items()},
@@ -391,10 +372,10 @@ def form_from_components(table: ComponentTable) -> Form:
     items = []
     for (i, k, m), expr in table.T3.items():
         gens = (("dx", i), ("dx", k), ("dx", m))
-        items += [(c, _letters(w) + gens) for w, c in expr.terms.items()]
+        items += [(c, w + gens) for w, c in expr.terms.items()]
     for (i, k), expr in table.T21.items():
         gens = (("ddx", i), ("dx", k))
-        items += [(c, _letters(w) + gens) for w, c in expr.terms.items()]
+        items += [(c, w + gens) for w, c in expr.terms.items()]
     return Form(table.n, items, table.commutative)
 
 

@@ -47,11 +47,10 @@ def _jet_text(sym) -> str:
 
 
 def _letter_text(letter) -> str:
-    """A form or Grassmann letter: a jet, or a generator ``kind[index]``."""
-    kind, payload = letter
-    if kind == "c":
-        return _jet_text(payload)
-    return f"{kind}[{payload}]"
+    """A form or Grassmann letter: a generator ``kind[index]``, or a jet."""
+    if type(letter) is tuple:
+        return f"{letter[0]}[{letter[1]}]"
+    return _jet_text(letter)
 
 
 def _render_terms(terms, key, letter_text) -> str:
@@ -69,7 +68,10 @@ def _coeff_word_key(word) -> tuple:
 
 
 def _form_word_key(word) -> tuple:
-    return (word_degree(word), len(word), tuple(repr(l) for l in word))
+    # Coefficient letters before generators, then by repr text: ddx before
+    # dx, dx[10] before dx[2].
+    return (word_degree(word), len(word),
+            tuple((type(l) is tuple, repr(l)) for l in word))
 
 
 def render_coeff(expr) -> str:

@@ -157,9 +157,9 @@ def _rand_form(rng: random.Random, n: int, max_degree: int = 2) -> Form:
     for _ in range(rng.randint(1, 3)):
         word: list = []
         for kind in rng.choice(shapes):
-            word += [("c", sym) for sym in _rand_word_run(rng)]
+            word += _rand_word_run(rng)
             word.append((kind, rng.randint(1, n)))
-        word += [("c", sym) for sym in _rand_word_run(rng)]
+        word += _rand_word_run(rng)
         items.append((_rand_scalar(rng, 3), tuple(word)))
     return Form(n, items)
 
@@ -275,23 +275,23 @@ def _worked_example_checks(col: _Collector) -> None:
     n = 3
     indices = range(1, n + 1)
     f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
-    rhs = Form(n, [(ONE, (("c", JetSymbol("f", derivs=(i, k))), ("dx", k), ("dx", i)))
+    rhs = Form(n, [(ONE, (JetSymbol("f", derivs=(i, k)), ("dx", k), ("dx", i)))
                    for k, i in product(indices, repeat=2)]
-              + [(ONE, (("c", JetSymbol("f", derivs=(i,))), ("ddx", i))) for i in indices])
+              + [(ONE, (JetSymbol("f", derivs=(i,)), ("ddx", i))) for i in indices])
     col.check_zero("d^2 f - ((f_,k,i) dx[k] dx[i] + (f_,i) ddx[i])",
                    f.d().d() - rhs)
 
-    w = Form(n, [(ONE, (("c", JetSymbol("x", 1)), ("dx", 2)))])
+    w = Form(n, [(ONE, (JetSymbol("x", 1), ("dx", 2)))])
     rhs_pair = Form(n, [(ONE, (("ddx", 1), ("dx", 2))), (-ONE, (("ddx", 2), ("dx", 1)))])
     col.check_zero("d^2 (x[1] dx[2]) - (ddx[1] dx[2] - ddx[2] dx[1])",
                    w.d().d() - rhs_pair)
 
-    om = Form(n, [(ONE, (("c", JetSymbol("w", k)), ("dx", k))) for k in indices])
-    two_sector = [(ONE, (("c", JetSymbol("w", k, (i, m))), ("dx", m), ("dx", i), ("dx", k)))
+    om = Form(n, [(ONE, (JetSymbol("w", k), ("dx", k))) for k in indices])
+    two_sector = [(ONE, (JetSymbol("w", k, (i, m)), ("dx", m), ("dx", i), ("dx", k)))
                   for m, i, k in product(indices, repeat=3)]
     for i, k in product(indices, repeat=2):
-        two_sector += [(ONE, (("c", JetSymbol("w", k, (i,))), ("ddx", i), ("dx", k))),
-                       (-ONE, (("c", JetSymbol("w", i, (k,))), ("ddx", i), ("dx", k)))]
+        two_sector += [(ONE, (JetSymbol("w", k, (i,)), ("ddx", i), ("dx", k))),
+                       (-ONE, (JetSymbol("w", i, (k,)), ("ddx", i), ("dx", k)))]
     rhs_two_sector = Form(n, two_sector)
     col.check_zero(
         "d^2 (w[k] dx[k]) - antisymmetric two-generator shape", om.d().d() - rhs_two_sector
@@ -314,7 +314,7 @@ def _suite_forms(rng: random.Random, cases: int, col: _Collector) -> None:
         col.check_zero(f"assoc#{t}", (a * b) * c - a * (b * c))
         # graded Leibniz for left factors whose words end in a generator
         tail = rng.choice([("dx", rng.randint(1, n)), ("ddx", rng.randint(1, n))])
-        run = tuple(("c", s) for s in _rand_word_run(rng))
+        run = _rand_word_run(rng)
         left = Form(n, [(_rand_scalar(rng, 3), run + (tail,))])
         grade = 1 if tail[0] == "dx" else 2
         right = _rand_form(rng, n, 1)
@@ -462,7 +462,7 @@ def _rand_degree3(rng: random.Random, n: int, runs: bool = True) -> Form:
     """A degree-3 form; with ``runs`` false its coefficients are scalars."""
     items = []
     for _ in range(rng.randint(1, 3)):
-        run = tuple(("c", s) for s in _rand_word_run(rng)) if runs else ()
+        run = _rand_word_run(rng) if runs else ()
         if rng.random() < 0.5:
             gens = tuple(("dx", rng.randint(1, n)) for _ in range(3))
         else:

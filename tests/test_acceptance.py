@@ -153,10 +153,10 @@ def test_criterion_05_worked_expansions():
     for k in range(1, n + 1):
         for i in range(1, n + 1):
             want = want + Form(
-                n, [(ONE, (("c", JetSymbol("f", derivs=(i, k))), ("dx", k), ("dx", i)))]
+                n, [(ONE, (JetSymbol("f", derivs=(i, k)), ("dx", k), ("dx", i)))]
             )
     for i in range(1, n + 1):
-        want = want + Form(n, [(ONE, (("c", JetSymbol("f", derivs=(i,))), ("ddx", i)))])
+        want = want + Form(n, [(ONE, (JetSymbol("f", derivs=(i,)), ("ddx", i)))])
     assert f.d().d() == want
     # a coordinate one-form
     from z3forms import coordinate, ddx, dx
@@ -166,23 +166,23 @@ def test_criterion_05_worked_expansions():
     # a generic one-form, including the antisymmetric two-generator block
     om = Form.zero(n)
     for k in range(1, n + 1):
-        om = om + Form(n, [(ONE, (("c", JetSymbol("w", k)), ("dx", k)))])
+        om = om + Form(n, [(ONE, (JetSymbol("w", k), ("dx", k)))])
     want = Form.zero(n)
     for m in range(1, n + 1):
         for i in range(1, n + 1):
             for k in range(1, n + 1):
                 want = want + Form(
                     n,
-                    [(ONE, (("c", JetSymbol("w", k, (i, m))),
+                    [(ONE, (JetSymbol("w", k, (i, m)),
                             ("dx", m), ("dx", i), ("dx", k)))],
                 )
     for i in range(1, n + 1):
         for k in range(1, n + 1):
             want = want + Form(
-                n, [(ONE, (("c", JetSymbol("w", k, (i,))), ("ddx", i), ("dx", k)))]
+                n, [(ONE, (JetSymbol("w", k, (i,)), ("ddx", i), ("dx", k)))]
             )
             want = want + Form(
-                n, [(-ONE, (("c", JetSymbol("w", i, (k,))), ("ddx", i), ("dx", k)))]
+                n, [(-ONE, (JetSymbol("w", i, (k,)), ("ddx", i), ("dx", k)))]
             )
     assert om.d().d() == want
 

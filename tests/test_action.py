@@ -50,7 +50,7 @@ def rand_degree3(rng: random.Random, n: int, with_runs: bool = True) -> Form:
     for _ in range(rng.randint(1, 3)):
         if with_runs:
             run = tuple(
-                ("c", JetSymbol(rng.choice(names)))
+                JetSymbol(rng.choice(names))
                 for _ in range(rng.randint(0, 1))
             )
         else:
@@ -152,7 +152,7 @@ def test_real_names_skip_barring():
     # A conjugate value stores its preimage's words, so no symbol of an
     # unbarred jet is barred on the way there and back.
     n = 2
-    a = Form(n, [(ONE, (("c", JetSymbol("A", 1)), ("dx", 1), ("dx", 2), ("dx", 1)))])
+    a = Form(n, [(ONE, (JetSymbol("A", 1), ("dx", 1), ("dx", 2), ("dx", 1)))])
     cf = conjugate_form(a)
     back = cf.conjugate_back()
     assert back == a

@@ -171,7 +171,6 @@ KEYED = [JetSymbol("f"), JetSymbol("g"), JetSymbol("g", 1), JetSymbol("f", deriv
 def test_sort_key_table_matches_sort_key():
     for sym in KEYED:
         assert SORT_KEYS[sym] == sym.sort_key()
-        assert SORT_KEYS[("c", sym)] == sym.sort_key()
 
 
 def test_commutative_normalize_word_sorts_by_sort_key():

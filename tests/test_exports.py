@@ -1,8 +1,8 @@
 """The package's names: every exported name resolves, none twice, every
-module-level name is used somewhere, no function only forwards to a
-method, every parameter is read, every name the benchmark's layer tracer
-wraps exists, and every value type but ``Scalar`` is built on the
-``lincomb`` core."""
+module-level name is used somewhere and defined in one module only, no
+function only forwards to a method, every parameter is read, every name
+the benchmark's layer tracer wraps exists, and every value type but
+``Scalar`` is built on the ``lincomb`` core."""
 
 from __future__ import annotations
 
@@ -58,6 +58,16 @@ def test_every_module_level_name_is_used():
             if words[name] <= len(on_own_line):
                 unused.append(f"{path.name}:{name}")
     assert unused == []
+
+
+def test_no_two_modules_define_one_name():
+    # The check above counts words over the whole tree, so a name that two
+    # modules define passes it while only one of the two is used.
+    owners: dict[str, set[str]] = {}
+    for path in sorted((ROOT / "src" / "z3forms").glob("*.py")):
+        for name, _ in _module_level_names(ast.parse(path.read_text())):
+            owners.setdefault(name, set()).add(path.name)
+    assert {name: sorted(m) for name, m in owners.items() if len(m) > 1} == {}
 
 
 def test_no_function_only_forwards_to_a_method():

@@ -7,7 +7,8 @@ not, goes through ``Form(n, items, mode)``, which normalizes it.  The
 comparison includes the order of the terms, so the canonical text is the
 same on both paths.  They also check that every stored word is a fixed
 point of normalization, that ``d`` of a degree-3 form and ``d^3`` vanish,
-and the graded Leibniz rule.  Example generation is derandomized so that
+and the graded Leibniz rule, and that terms print in the reference order
+below.  Example generation is derandomized so that
 every run checks the same cases.
 """
 
@@ -22,7 +23,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from z3forms.coeffs import CoeffExpr, JetSymbol  # noqa: E402
-from z3forms.forms import Form, normalize_form_word  # noqa: E402
+from z3forms.forms import Form, normalize_form_word, word_degree  # noqa: E402
+from z3forms.render import _letter_text, _render_terms  # noqa: E402
 from z3forms.scalar import ONE, Scalar, jpow  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -49,7 +51,7 @@ def symbols(n: int):
 
 
 def runs(n: int):
-    return st.lists(symbols(n), max_size=2).map(lambda s: [("c", x) for x in s])
+    return st.lists(symbols(n), max_size=2)
 
 
 @st.composite
@@ -88,9 +90,9 @@ n_and_mode = st.tuples(st.integers(1, 4), st.booleans())
 def factors(word: tuple) -> list[tuple]:
     """Maximal coefficient runs and single generators, in order."""
     out: list[tuple] = []
-    for is_run, group in itertools.groupby(word, key=lambda l: l[0] == "c"):
+    for kind, group in itertools.groupby(word, type):
         group = tuple(group)
-        out += [group] if is_run else [(g,) for g in group]
+        out += [(g,) for g in group] if kind is tuple else [group]
     return out
 
 
@@ -102,14 +104,13 @@ def ref_d(x: Form) -> Form:
         for pos, part in enumerate(parts):
             before, after = sum(parts[:pos], ()), sum(parts[pos + 1:], ())
             phase = coeff * jpow(grade)
-            kind, payload = part[0]
-            if kind == "c":
-                run = CoeffExpr([(ONE, [l[1] for l in part])], x.commutative)
+            if type(part[0]) is not tuple:
+                run = CoeffExpr([(ONE, part)], x.commutative)
                 for q in range(1, x.n + 1):
                     for cw, cc in run.derive(q).terms.items():
-                        repl = tuple(("c", s) for s in cw) + (("dx", q),)
-                        items.append((phase * cc, before + repl + after))
+                        items.append((phase * cc, before + cw + (("dx", q),) + after))
             else:
+                kind, payload = part[0]
                 if kind == "dx":
                     items.append((phase, before + (("ddx", payload),) + after))
                 grade += 1 if kind == "dx" else 2
@@ -134,24 +135,20 @@ def assert_canonical(x: Form) -> None:
 # -- inputs the strategies cannot build -----------------------------------------
 
 
-def _c(name: str, index: int | None = None, derivs: tuple = ()) -> tuple:
-    return ("c", JetSymbol(name, index, derivs))
-
+U, UINV, U_1, MU, F, G = (JetSymbol("U"), JetSymbol("Uinv"), JetSymbol("U", derivs=(1,)),
+                          JetSymbol("mu"), JetSymbol("f"), JetSymbol("g"))
+X1, X2 = JetSymbol("x", 1), JetSymbol("x", 2)
 
 #: Words with runs of three letters, which ``runs`` never draws.
 EDGE_WORDS = {
     # At q = 1 two positions give the word Uinv U_,1 Uinv U_,1 Uinv.
-    "Uinv U_,1 Uinv dx[1] dx[2]":
-        (_c("Uinv"), _c("U", derivs=(1,)), _c("Uinv"), ("dx", 1), ("dx", 2)),
+    "Uinv U_,1 Uinv dx[1] dx[2]": (UINV, U_1, UINV, ("dx", 1), ("dx", 2)),
     # The runs cancel where they meet, across a generator.
-    "f U dx[1] Uinv g dx[2]":
-        (_c("f"), _c("U"), ("dx", 1), _c("Uinv"), _c("g"), ("dx", 2)),
+    "f U dx[1] Uinv g dx[2]": (F, U, ("dx", 1), UINV, G, ("dx", 2)),
     # Dropping x[1] makes U and Uinv meet.
-    "U x[1] dx[2] Uinv dx[1]":
-        (_c("U"), _c("x", 1), ("dx", 2), _c("Uinv"), ("dx", 1)),
-    "mu f f ddx[2] x[2]": (_c("mu"), _c("f"), _c("f"), ("ddx", 2), _c("x", 2)),
-    "x[1] x[1] dx[1] U dx[2] Uinv":
-        (_c("x", 1), _c("x", 1), ("dx", 1), _c("U"), ("dx", 2), _c("Uinv")),
+    "U x[1] dx[2] Uinv dx[1]": (U, X1, ("dx", 2), UINV, ("dx", 1)),
+    "mu f f ddx[2] x[2]": (MU, F, F, ("ddx", 2), X2),
+    "x[1] x[1] dx[1] U dx[2] Uinv": (X1, X1, ("dx", 1), U, ("dx", 2), UINV),
 }
 
 
@@ -160,7 +157,7 @@ EDGE_WORDS = {
 #: coefficient: adding the terms one at a time would cancel it, then put it
 #: back at the end.
 SAME_WORD_TWICE = [
-    (ONE, (_c("Uinv"), ("dx", 1), _c("U", derivs=(1,)), _c("Uinv"), ("dx", 2))),
+    (ONE, (UINV, ("dx", 1), U_1, UINV, ("dx", 2))),
     (-(ONE + jpow(1)), EDGE_WORDS["Uinv U_,1 Uinv dx[1] dx[2]"]),
 ]
 
@@ -176,7 +173,7 @@ def test_d_matches_generic_path_on_long_runs(text, commutative, n):
         items = [(SCALARS[i], w) for i, w in enumerate(words)]
     # Each word, and its head before the last generator: d of the head
     # reaches the word's degree, so d∘d goes through the degree-2 path.
-    heads = [(c, w[:max(i for i, l in enumerate(w) if l[0] != "c")]) for c, w in items]
+    heads = [(c, w[:max(i for i, l in enumerate(w) if type(l) is tuple)]) for c, w in items]
     for raw in (items, heads):
         x = Form(n, raw, commutative)
         once, twice = x.d(), x.d().d()
@@ -228,3 +225,41 @@ def test_graded_leibniz_generator_tailed(pair):
     lhs = (w * phi).d()
     rhs = w.d() * phi + (w * phi.d()).scale(jpow(grade))
     assert lhs == rhs
+
+
+# -- term order of the canonical text --------------------------------------------
+
+
+def reference_key(word: tuple) -> tuple:
+    """The order of terms in the canonical text: by degree, length, then
+    the repr of each letter, with a coefficient letter written as the pair
+    of the tag "c" and its symbol.  The golden files hold this order."""
+    return (word_degree(word), len(word),
+            tuple(repr(l) if type(l) is tuple else f"('c', {l!r})" for l in word))
+
+
+def in_reference_order(x: Form) -> str:
+    return _render_terms(x.terms, reference_key, _letter_text)
+
+
+@PROPERTY
+@given(n_and_mode.flatmap(lambda nm: mixed_forms(*nm)))
+def test_terms_print_in_reference_order(x):
+    for value in (x, x.d()):
+        assert str(value) == in_reference_order(value)
+
+
+@pytest.mark.parametrize("n, words, text", [
+    (10, [(("dx", 10),), (("dx", 2),)], "dx[10] + dx[2]"),
+    (2, [(("dx", 1), F), (F, ("dx", 1))], "f dx[1] + dx[1] f"),
+    (2, [(("ddx", 1), F), (("dx", 1), ("dx", 1))], "ddx[1] f + dx[1] dx[1]"),
+    (2, [(F, ("ddx", 1)), (("dx", 1), ("dx", 1))], "f ddx[1] + dx[1] dx[1]"),
+    (2, [(X1,), (F,)], "f + x[1]"),
+    (10, [(JetSymbol("x", 10),), (JetSymbol("x", 2),)], "x[10] + x[2]"),
+    (2, [(F,), (JetSymbol("f", 1),)], "f[1] + f"),
+    (2, [(JetSymbol("f", barred=True),), (F,)], "f + ~f"),
+    (2, [(G,), (JetSymbol("f", derivs=(1,)),)], "(f_,1) + g"),
+])
+def test_term_order_by_text(n, words, text):
+    x = Form(n, [(ONE, w) for w in words])
+    assert str(x) == in_reference_order(x) == text

@@ -4,6 +4,7 @@ third-order differential, worked expansions, and the product rule."""
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -19,7 +20,7 @@ from z3forms import (
     form_from_components,
     redistribute_t3,
 )
-from z3forms.forms import normalize_form_word, word_degree, word_grade
+from z3forms.forms import normalize_form_word, word_degree
 from z3forms.scalar import J, J2, ONE, Scalar, jpow
 
 
@@ -30,7 +31,7 @@ def rand_scalar(rng: random.Random) -> Scalar:
 def rand_run(rng: random.Random) -> tuple:
     names = ("f", "g")
     return tuple(
-        ("c", JetSymbol(rng.choice(names))) for _ in range(rng.randint(0, 1))
+        JetSymbol(rng.choice(names)) for _ in range(rng.randint(0, 1))
     )
 
 
@@ -114,7 +115,7 @@ def test_degree_three_collapse_multiplies_coefficients():
     f, g = JetSymbol("f"), JetSymbol("g")
     interleaved = Form(
         n,
-        [(ONE, (("c", f), ("dx", 1), ("c", g), ("dx", 2), ("dx", 3)))],
+        [(ONE, (f, ("dx", 1), g, ("dx", 2), ("dx", 3)))],
     )
     fg = CoeffExpr.from_symbol(f) * CoeffExpr.from_symbol(g)
     collapsed = coefficient_form(fg, n) * dx(1, n) * dx(2, n) * dx(3, n)
@@ -128,8 +129,8 @@ def test_degree_three_collapse_multiplies_coefficients():
 def test_low_degree_words_stay_interleaved():
     n = 2
     f, g = JetSymbol("f"), JetSymbol("g")
-    interleaved = Form(n, [(ONE, (("c", f), ("dx", 1), ("c", g), ("dx", 2)))])
-    collapsed = Form(n, [(ONE, (("c", f), ("c", g), ("dx", 1), ("dx", 2)))])
+    interleaved = Form(n, [(ONE, (f, ("dx", 1), g, ("dx", 2)))])
+    collapsed = Form(n, [(ONE, (f, g, ("dx", 1), ("dx", 2)))])
     assert interleaved != collapsed
     assert not (interleaved - collapsed).is_zero()
 
@@ -160,7 +161,7 @@ def test_differential_of_coefficient():
     got = f.d()
     want = Form.zero(n)
     for i in range(1, n + 1):
-        want = want + Form(n, [(ONE, (("c", JetSymbol("f", derivs=(i,))), ("dx", i)))])
+        want = want + Form(n, [(ONE, (JetSymbol("f", derivs=(i,)), ("dx", i)))])
     assert got == want
 
 
@@ -172,10 +173,10 @@ def test_second_differential_of_coefficient():
         for i in range(1, n + 1):
             want = want + Form(
                 n,
-                [(ONE, (("c", JetSymbol("f", derivs=(i, k))), ("dx", k), ("dx", i)))],
+                [(ONE, (JetSymbol("f", derivs=(i, k)), ("dx", k), ("dx", i)))],
             )
     for i in range(1, n + 1):
-        want = want + Form(n, [(ONE, (("c", JetSymbol("f", derivs=(i,))), ("ddx", i)))])
+        want = want + Form(n, [(ONE, (JetSymbol("f", derivs=(i,)), ("ddx", i)))])
     assert f.d().d() == want
 
 
@@ -190,23 +191,23 @@ def test_second_differential_of_generic_one_form():
     n = 3
     om = Form.zero(n)
     for k in range(1, n + 1):
-        om = om + Form(n, [(ONE, (("c", JetSymbol("w", k)), ("dx", k)))])
+        om = om + Form(n, [(ONE, (JetSymbol("w", k), ("dx", k)))])
     want = Form.zero(n)
     for m in range(1, n + 1):
         for i in range(1, n + 1):
             for k in range(1, n + 1):
                 want = want + Form(
                     n,
-                    [(ONE, (("c", JetSymbol("w", k, (i, m))),
+                    [(ONE, (JetSymbol("w", k, (i, m)),
                             ("dx", m), ("dx", i), ("dx", k)))],
                 )
     for i in range(1, n + 1):
         for k in range(1, n + 1):
             want = want + Form(
-                n, [(ONE, (("c", JetSymbol("w", k, (i,))), ("ddx", i), ("dx", k)))]
+                n, [(ONE, (JetSymbol("w", k, (i,)), ("ddx", i), ("dx", k)))]
             )
             want = want + Form(
-                n, [(-ONE, (("c", JetSymbol("w", i, (k,))), ("ddx", i), ("dx", k)))]
+                n, [(-ONE, (JetSymbol("w", i, (k,)), ("ddx", i), ("dx", k)))]
             )
     assert om.d().d() == want
 
@@ -285,17 +286,17 @@ def test_product_rule_seam_residual():
     for q in range(1, n + 1):
         fq = JetSymbol("f", derivs=(q,))
         expected = expected + Form(
-            n, [(ONE, (("c", fq), ("c", JetSymbol("g")), ("dx", q)))]
+            n, [(ONE, (fq, JetSymbol("g"), ("dx", q)))]
         )
         expected = expected + Form(
-            n, [(-ONE, (("c", fq), ("dx", q), ("c", JetSymbol("g"))))]
+            n, [(-ONE, (fq, ("dx", q), JetSymbol("g")))]
         )
     assert residual == expected
     assert not residual.is_zero()
 
 
-F, G, H = (("c", JetSymbol(name)) for name in ("f", "g", "h"))
-CU, CUINV = ("c", JetSymbol("U")), ("c", JetSymbol("Uinv"))
+F, G, H = (JetSymbol(name) for name in ("f", "g", "h"))
+CU, CUINV = JetSymbol("U"), JetSymbol("Uinv")
 DX1, DX2, DDX1, DDX2 = ("dx", 1), ("dx", 2), ("ddx", 1), ("ddx", 2)
 
 # One product per branch of ``Form.__mul__``, as pairs of raw words.
@@ -317,7 +318,7 @@ def test_each_product_branch_matches_normalize_form_word(branch, commutative):
         x, y = (Form(2, [(ONE, raw)], commutative) for raw in (raw1, raw2))
         (w1,), (w2,) = x.terms, y.terms
         degree = word_degree(w1) + word_degree(w2)
-        meet = bool(w1) and bool(w2) and w1[-1][0] == w2[0][0] == "c"
+        meet = bool(w1) and bool(w2) and tuple not in (type(w1[-1]), type(w2[0]))
         assert {
             "runs meet below degree 3": degree < 3 and meet,
             "runs apart below degree 3": degree < 3 and not meet,
@@ -350,10 +351,49 @@ def test_grade_and_degree():
     assert mixed.grade_and_degree() == ("mixed", "mixed")
 
 
-def test_word_grade_degree_helpers():
-    word = (("c", JetSymbol("f")), ("ddx", 1), ("dx", 2))
+def test_word_degree_helper():
+    word = (JetSymbol("f"), ("ddx", 1), ("dx", 2))
     assert word_degree(word) == 3
-    assert word_grade(word) == 0
+
+
+def test_symbols_named_like_generators_stay_coefficients():
+    # A word's generators are its plain tuples; a JetSymbol is a coefficient
+    # letter whatever its name.
+    x = Form(2, [(ONE, (JetSymbol("dx"), ("dx", 1)))])
+    assert str(x) == "dx dx[1]"
+    assert x.grade_and_degree() == (1, 1)
+    assert str(x.d()) == "dx ddx[1] + (dx_,1) dx[1] dx[1] + (dx_,2) dx[2] dx[1]"
+    y = Form(2, [(ONE, (JetSymbol("ddx"), ("ddx", 1)))])
+    assert str(y) == "ddx ddx[1]"
+    assert y.grade_and_degree() == (2, 2)
+    assert str(y.d()) == "j * (ddx_,1) ddx[1] dx[1] + j * (ddx_,2) ddx[1] dx[2]"
+    z = Form(2, [(ONE, (JetSymbol("ddx", 1),))])
+    assert z.grade_and_degree() == (0, 0)
+    assert str(z.d()) == "(ddx[1]_,1) dx[1] + (ddx[1]_,2) dx[2]"
+
+
+def test_plain_tuples_other_than_generators_are_rejected():
+    with pytest.raises(ValueError, match="unknown generator kind 'th'"):
+        Form(2, [(ONE, (JetSymbol("f"), ("th", 1)))])
+    with pytest.raises(ValueError, match="out of range"):
+        Form(2, [(ONE, (JetSymbol("f"), ("dx", 3)))])
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_degree_three_generator_words_exhaustively(n, commutative):
+    # Every raw word of dx dx dx, ddx dx or dx ddx: n^3 + 2n^2 of them.  The
+    # canonical ones are the (n^3 - n)/3 least rotations of dx-triples with
+    # two distinct indices and the n^2 words ddx[i] dx[k]; each is a fixed
+    # point.
+    gens = [("dx", i) for i in range(1, n + 1)]
+    twos = [("ddx", i) for i in range(1, n + 1)]
+    raw = [*product(gens, repeat=3), *product(twos, gens), *product(gens, twos)]
+    assert len(raw) == n ** 3 + 2 * n ** 2
+    canonical = {w for word in raw for _, w in normalize_form_word(word, commutative)}
+    assert len(canonical) == (n ** 3 - n) // 3 + n ** 2
+    for word in canonical:
+        assert normalize_form_word(word, commutative) == [(ONE, word)]
 
 
 def rand_degree3(rng: random.Random, n: int) -> Form:
@@ -407,8 +447,7 @@ def test_redistribute_preserves_class():
             rebuilt = rebuilt + Form(
                 n,
                 [
-                    (s, tuple(("c", sym) for sym in cw)
-                         + (("dx", i), ("dx", k), ("dx", m)))
+                    (s, cw + (("dx", i), ("dx", k), ("dx", m)))
                     for cw, s in coeff.terms.items()
                 ],
             )
@@ -417,8 +456,7 @@ def test_redistribute_preserves_class():
             twosector = twosector + Form(
                 n,
                 [
-                    (s, tuple(("c", sym) for sym in cw)
-                         + (("ddx", i), ("dx", k)))
+                    (s, cw + (("ddx", i), ("dx", k)))
                     for cw, s in coeff.terms.items()
                 ],
             )

@@ -288,8 +288,7 @@ def test_projector_faithful_on_forms():
             for cw, s in coeff.terms.items():
                 rebuilt = rebuilt + Form(
                     n,
-                    [(s, tuple(("c", sym) for sym in cw)
-                         + (("dx", i), ("dx", k), ("dx", m)))],
+                    [(s, cw + (("dx", i), ("dx", k), ("dx", m)))],
                 )
         assert rebuilt == w
 
