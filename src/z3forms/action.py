@@ -325,7 +325,7 @@ def reference_field_equation(conn: Connection, cfg: PairingConfig, k: int) -> Co
 
 def biharmonic_reference(conn: Connection, cfg: PairingConfig, k: int) -> CoeffExpr:
     """Lap(Lap(A_k)) + (3 mu / 4) Lap(A_k) for the same connection symbols."""
-    ak = conn.a(k)
+    ak = conn.coefficients[k]
     n = conn.n
     lap = _laplacian(ak, n)
     laplap = _laplacian(lap, n)

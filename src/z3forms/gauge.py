@@ -62,9 +62,6 @@ class Connection:
             if self.coefficients[i].commutative != self.commutative:
                 raise ValueError("connection coefficient mode mismatch")
 
-    def a(self, i: int) -> CoeffExpr:
-        return self.coefficients[i]
-
 
 def generic_connection(n: int, commutative: bool = False) -> Connection:
     """Connection with one free symbol per index."""
@@ -95,7 +92,7 @@ def pure_gauge_connection(n: int, commutative: bool = False) -> Connection:
 def connection_form(conn: Connection) -> Form:
     n, commutative = conn.n, conn.commutative
     return total(Form.zero(n, commutative),
-                 (coefficient_form(conn.a(i), n) * dx(i, n, commutative)
+                 (coefficient_form(conn.coefficients[i], n) * dx(i, n, commutative)
                   for i in range(1, n + 1)))
 
 
@@ -133,8 +130,9 @@ def field_strength(conn: Connection) -> T21Table:
 def true_curvature_table(conn: Connection) -> T3Table:
     """The raw cubic table whose canonical image is the curvature dx-sector."""
     out: T3Table = {}
+    a = conn.coefficients
     for i, k, m in product(range(1, conn.n + 1), repeat=3):
-        ai, ak, am = conn.a(i), conn.a(k), conn.a(m)
+        ai, ak, am = a[i], a[k], a[m]
         dkm = am.derive(k)
         out[(i, k, m)] = total(dkm.derive(i), (ak.derive(i) * am,
                                                -(ai * dkm).scale(J2), ai * ak * am))
@@ -148,8 +146,9 @@ def reference_curvature_table(conn: Connection) -> T3Table:
     commute; differs by commutator terms otherwise.
     """
     out: T3Table = {}
+    a = conn.coefficients
     for i, k, m in product(range(1, conn.n + 1), repeat=3):
-        ai, ak, am = conn.a(i), conn.a(k), conn.a(m)
+        ai, ak, am = a[i], a[k], a[m]
         dkm = am.derive(k)
         out[(i, k, m)] = total(dkm.derive(i), (ai * dkm, -(dkm * ai), ai * ak * am))
     return out
@@ -161,7 +160,7 @@ def gauge_transform(conn: Connection) -> Connection:
     uinv = CoeffExpr.from_symbol(JetSymbol("Uinv"), conn.commutative)
     coeffs = {}
     for i in range(1, conn.n + 1):
-        coeffs[i] = uinv * conn.a(i) * u + uinv * u.derive(i)
+        coeffs[i] = uinv * conn.coefficients[i] * u + uinv * u.derive(i)
     return Connection(coeffs, conn.n, conn.commutative)
 
 

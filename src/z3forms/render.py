@@ -13,6 +13,7 @@ identically.  The output is valid input for the expression parser:
 
 from __future__ import annotations
 
+from .coeffs import SORT_KEYS
 from .forms import word_degree
 from .scalar import ONE, Scalar
 
@@ -64,7 +65,7 @@ def _render_terms(terms, key, letter_text) -> str:
 
 
 def _coeff_word_key(word) -> tuple:
-    return (len(word), tuple(sym.sort_key() for sym in word))
+    return (len(word), tuple(map(SORT_KEYS.__getitem__, word)))
 
 
 def _form_word_key(word) -> tuple:

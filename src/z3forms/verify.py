@@ -19,7 +19,7 @@ import json
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -449,12 +449,11 @@ def _suite_action(rng: random.Random, cases: int, col: _Collector) -> None:
         if x.is_zero():
             col.check_zero(f"positivity (zero) #{t}", v)
         else:
-            s = dict(v.terms).get((), ZERO)
-            re, im = s.embed_complex()
+            s = v.terms.get((), ZERO)
             col.check_true(
                 f"positivity #{t}: <x|x> real and positive",
-                abs(im) < 1e-15 and re > 0,
-                got=f"{re:+.3e}{im:+.3e}i",
+                v.terms.keys() == {()} and s.is_rational() and s.a > 0,
+                got=str(s),
             )
 
 

@@ -14,29 +14,18 @@ suites (test_gauge.py) pin the residuals themselves.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from test_expr_cli import CORPUS
-from test_forms import rand_form
-from test_gauge import RandomAssignment, abelianize, numeric_value, JC
-from test_matrices import rand_homogeneous, rand_matrix, unit_matrix
-
 from z3forms import (
     CoeffExpr,
-    Form,
-    GradedMatrix,
-    JetSymbol,
     EvalContext,
     PairingConfig,
     abelian_connection,
     bar_theta,
     biharmonic_reference,
-    coefficient_form,
-    covariant_derivative_F,
     covariant_differential,
     curvature,
     curvature_components,
@@ -69,6 +58,14 @@ from z3forms.gauge import (
 )
 from z3forms.grassmann import GrassElement
 from z3forms.scalar import J, ONE, Scalar, jpow
+from z3forms.verify import _rand_form, _rand_homogeneous_matrix, _rand_matrix
+
+from shared import (
+    CORPUS,
+    WORKED_SECOND_DIFFERENTIALS,
+    assert_cyclic_combination_splits,
+    unit_matrix,
+)
 
 
 @pytest.mark.criterion(1, "ternary generator basis counts")
@@ -106,14 +103,14 @@ def test_criterion_02_vanishing_rules():
 def test_criterion_03_matrix_model():
     rng = random.Random(2026)
     for _ in range(200):
-        b = rand_matrix(rng)
+        b = _rand_matrix(rng)
         assert eta_differential(
             eta_differential(eta_differential(b))
         ).is_zero()
     for _ in range(200):
         g = rng.randint(0, 2)
-        b = rand_homogeneous(rng, g)
-        c = rand_matrix(rng)
+        b = _rand_homogeneous_matrix(rng, g)
+        c = _rand_matrix(rng)
         lhs = eta_differential(b * c)
         rhs = eta_differential(b) * c + (b * eta_differential(c)).scale(jpow(g))
         assert (lhs - rhs).is_zero()
@@ -134,7 +131,7 @@ def test_criterion_04_third_power_vanishes():
     count = 0
     for _ in range(500):
         n = rng.choice((2, 3))
-        w = rand_form(rng, n, max_degree=2)
+        w = _rand_form(rng, n, max_degree=2)
         first = w.d()
         second = first.d()
         assert second.d().is_zero()   # d^3 == 0
@@ -146,45 +143,13 @@ def test_criterion_04_third_power_vanishes():
 
 @pytest.mark.criterion(5, "worked second-differential expansions")
 def test_criterion_05_worked_expansions():
-    n = 3
-    # a bare coefficient
-    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
-    want = Form.zero(n)
-    for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            want = want + Form(
-                n, [(ONE, (JetSymbol("f", derivs=(i, k)), ("dx", k), ("dx", i)))]
-            )
-    for i in range(1, n + 1):
-        want = want + Form(n, [(ONE, (JetSymbol("f", derivs=(i,)), ("ddx", i)))])
-    assert f.d().d() == want
-    # a coordinate one-form
-    from z3forms import coordinate, ddx, dx
+    for x, want in WORKED_SECOND_DIFFERENTIALS.values():
+        assert x.d().d() == want
 
-    w = coordinate(1, n) * dx(2, n)
-    assert w.d().d() == ddx(1, n) * dx(2, n) - ddx(2, n) * dx(1, n)
-    # a generic one-form, including the antisymmetric two-generator block
-    om = Form.zero(n)
-    for k in range(1, n + 1):
-        om = om + Form(n, [(ONE, (JetSymbol("w", k), ("dx", k)))])
-    want = Form.zero(n)
-    for m in range(1, n + 1):
-        for i in range(1, n + 1):
-            for k in range(1, n + 1):
-                want = want + Form(
-                    n,
-                    [(ONE, (JetSymbol("w", k, (i, m)),
-                            ("dx", m), ("dx", i), ("dx", k)))],
-                )
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            want = want + Form(
-                n, [(ONE, (JetSymbol("w", k, (i,)), ("ddx", i), ("dx", k)))]
-            )
-            want = want + Form(
-                n, [(-ONE, (JetSymbol("w", i, (k,)), ("ddx", i), ("dx", k)))]
-            )
-    assert om.d().d() == want
+
+def abelianize(table) -> dict:
+    """Re-normalize every entry's words with commuting coefficients."""
+    return {key: CoeffExpr(value.terms, True) for key, value in table.items()}
 
 
 def _difference(a, b, commutative: bool) -> dict:
@@ -231,23 +196,7 @@ def test_criterion_06_curvature_decomposition():
 @pytest.mark.criterion(7, "cyclic covariant-derivative identity")
 def test_criterion_07_covariant_identity():
     # the numeric real/imaginary split of the combination, to 1e-12
-    rng = random.Random(2028)
-    n = 2
-    conn = generic_connection(n)
-    DF = covariant_derivative_F(conn)
-    comb = covariant_cyclic_combination(conn)
-    assignment = RandomAssignment(rng)
-    zero = CoeffExpr.zero(False)
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            for m in range(1, n + 1):
-                va = numeric_value(DF[(i, m, k)], assignment)
-                vb = numeric_value(DF[(k, m, i)], assignment)
-                lhs = (JC * va + JC * JC * vb) / 3
-                rhs = -(va + vb) / 6 + 1j * math.sqrt(3) * (va - vb) / 6
-                assert abs(lhs - rhs) < 1e-12
-                ventry = numeric_value(comb.get((i, k, m), zero), assignment)
-                assert abs(ventry - lhs) < 1e-12
+    assert_cyclic_combination_splits(random.Random(2028))
     for n in (2, 3):
         # exact identity for commuting coefficients
         cab = abelian_connection(n)

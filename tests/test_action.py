@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from test_form_properties import PROPERTY, forms, n_and_mode
 
 from z3forms import (
     CoeffExpr,
@@ -33,34 +29,12 @@ from z3forms import (
     scalar_product,
     variational_derivative,
 )
-from z3forms.action import MU, divergence_of_strength, solve_linear, _echelon, _laplacian, _reduce
-from z3forms.coeffs import CONSTANT_NAMES
+from z3forms.action import MU, divergence_of_strength, solve_linear, _laplacian
 from z3forms.expr import print_canonical
-from z3forms.lincomb import accumulate
-from z3forms.scalar import J, ONE, Scalar, ZERO, scalar
+from z3forms.scalar import J, ONE, ZERO, scalar
+from z3forms.verify import _rand_degree3
 
-
-def rand_scalar(rng: random.Random) -> Scalar:
-    return Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-
-
-def rand_degree3(rng: random.Random, n: int, with_runs: bool = True) -> Form:
-    names = ("f", "g")
-    out = Form.zero(n)
-    for _ in range(rng.randint(1, 3)):
-        if with_runs:
-            run = tuple(
-                JetSymbol(rng.choice(names))
-                for _ in range(rng.randint(0, 1))
-            )
-        else:
-            run = ()
-        if rng.random() < 0.5:
-            gens: tuple = tuple(("dx", rng.randint(1, n)) for _ in range(3))
-        else:
-            gens = (("ddx", rng.randint(1, n)), ("dx", rng.randint(1, n)))
-        out = out + Form(n, [(rand_scalar(rng), run + gens)])
-    return out
+from shared import two_pass_variation
 
 
 # -- the pairing ---------------------------------------------------------------
@@ -91,21 +65,11 @@ def test_pairing_hermitian_random():
     cfg = PairingConfig()
     n = 3
     for _ in range(60):
-        w = rand_degree3(rng, n)
-        phi = rand_degree3(rng, n)
+        w = _rand_degree3(rng, n)
+        phi = _rand_degree3(rng, n)
         lhs = scalar_product(w, phi, cfg)
         rhs = scalar_product(phi, w, cfg).conjugate(frozenset())
         assert (lhs - rhs).is_zero()
-
-
-@PROPERTY
-@given(n_and_mode.flatmap(lambda nm: st.tuples(
-    forms(*nm, degrees=(3,)), forms(*nm, degrees=(3,)))))
-def test_pairing_hermitian_generated(pair):
-    w, phi = pair
-    for cfg in (PairingConfig(), PairingConfig(mu=scalar(2))):
-        lhs = scalar_product(w, phi, cfg)
-        assert lhs == scalar_product(phi, w, cfg).conjugate(frozenset())
 
 
 def test_pairing_positive_on_scalar_forms():
@@ -113,22 +77,20 @@ def test_pairing_positive_on_scalar_forms():
     cfg = PairingConfig(mu=scalar(1))
     n = 3
     for _ in range(60):
-        x = rand_degree3(rng, n, with_runs=False)
+        x = _rand_degree3(rng, n, runs=False)
         v = scalar_product(x, x, cfg)
         if x.is_zero():
             assert v.is_zero()
             continue
-        s = dict(v.terms).get((), ZERO)
-        re, im = s.embed_complex()
-        assert abs(im) < 1e-15
-        assert re > 0
+        s = v.terms.get((), ZERO)
+        assert v.terms.keys() == {()} and s.is_rational() and s.a > 0
 
 
 def test_conjugation_involution_random():
     rng = random.Random(73)
     n = 3
     for _ in range(60):
-        w = rand_degree3(rng, n)
+        w = _rand_degree3(rng, n)
         assert conjugate_form(w).conjugate_back() == w
 
 
@@ -235,47 +197,6 @@ def test_lagrangian_mu_sector_is_strength_square():
 # -- the variation -------------------------------------------------------------
 
 
-def two_pass_variation(L: CoeffExpr, n: int, base: str = "A") -> dict[int, CoeffExpr]:
-    """Reference: for each p, rescan L once per jet of base[p] that occurs."""
-    out = {}
-    for p in range(1, n + 1):
-        alphas = {sym.derivs for word, _ in L for sym in word
-                  if sym.name == base and sym.index == p}
-        acc = CoeffExpr.zero(True)
-        for alpha in alphas:
-            target = JetSymbol(base, p, alpha)
-            items = [(coeff, word[:pos] + word[pos + 1 :])
-                     for word, coeff in L
-                     for pos, sym in enumerate(word) if sym == target]
-            term = CoeffExpr(items, True)
-            for q in alpha:
-                term = term.derive(q)
-            if len(alpha) % 2 == 1:
-                term = term.scale(-ONE)
-            acc = acc + term
-        out[p] = acc
-    return out
-
-
-#: Letters of generated Lagrangians: jets of A up to order 3 with indices
-#: inside and outside 1..n (n <= 3 below), an unindexed and a barred A,
-#: another base name, a coordinate and the constant mu.
-VARIATION_LETTERS = st.sampled_from(
-    [JetSymbol("A", i, d) for i in (0, 1, 2, 3, 4)
-     for d in ((), (1,), (2,), (1, 2), (2, 2), (1, 1, 3))]
-    + [JetSymbol("A"), JetSymbol("A", 1, (1,), barred=True), JetSymbol("B", 1, (1,)),
-       JetSymbol("x", 1), MU])
-VARIATION_INPUTS = st.lists(
-    st.tuples(st.integers(-3, 3).map(scalar), st.lists(VARIATION_LETTERS, max_size=3)),
-    max_size=6).map(lambda items: CoeffExpr(items, True))
-
-
-@PROPERTY
-@given(VARIATION_INPUTS, st.integers(1, 3))
-def test_variational_derivative_matches_two_pass_reference(L, n):
-    assert variational_derivative(L, n) == two_pass_variation(L, n)
-
-
 def test_variational_derivative_of_the_lagrangian_matches_reference():
     cfg = PairingConfig()
     for n in (2, 3):
@@ -323,7 +244,7 @@ def test_variation_reduces_to_double_laplacian():
     el = euler_lagrange_abelian(conn, cfg)
     mu = cfg.mu_expr(True)
     for p in range(1, n + 1):
-        ap = conn.a(p)
+        ap = conn.coefficients[p]
         lap = _laplacian(ap, n)
         want = _laplacian(lap, n).scale(scalar(2)) + (mu * lap).scale(scalar(-4))
         assert lorenz_reduce(el[p] - want, n).is_zero()
@@ -334,14 +255,14 @@ def test_lorenz_reduce_kills_constraint_jets():
     conn = abelian_connection(n)
     div = CoeffExpr.zero(True)
     for i in range(1, n + 1):
-        div = div + conn.a(i).derive(i)
+        div = div + conn.coefficients[i].derive(i)
     assert lorenz_reduce(div, n).is_zero()
     assert lorenz_reduce(div.derive(1).derive(2), n).is_zero()
     # mixing in a constant prefix still reduces
     mu = PairingConfig().mu_expr(True)
     assert lorenz_reduce(mu * div.derive(1), n).is_zero()
     # non-constraint jets pass through unchanged
-    a1 = conn.a(1)
+    a1 = conn.coefficients[1]
     assert (lorenz_reduce(a1, n) - a1).is_zero()
 
 
@@ -388,50 +309,3 @@ def test_lorenz_reduce_residue_of_nonzero_inputs():
     for (n, k), text in BIHARMONIC_RESIDUES.items():
         residue = lorenz_reduce(biharmonic_reference(abelian_connection(n), cfg, k), n)
         assert print_canonical(residue) == text
-
-
-def echelon_lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
-    """Reference: eliminate against an echelon that ``_echelon`` builds from
-    the constraint generators, each pivoting on its jet of largest sort key."""
-    max_order = 0
-    split: dict = {}
-    for word, coeff in x:
-        consts = tuple(s for s in word if s.name in CONSTANT_NAMES)
-        rest = tuple(s for s in word if s.name not in CONSTANT_NAMES)
-        max_order = max(max_order, len(rest[0].derivs))
-        accumulate(split.setdefault(consts, {}), rest, coeff)
-    if max_order == 0:
-        return x
-    generators = (
-        {(JetSymbol(base, i, beta + (i,)),): ONE for i in range(1, n + 1)}
-        for size in range(max_order)
-        for beta in combinations_with_replacement(range(1, n + 1), size)
-    )
-    rows = _echelon(generators, lambda vec: max(vec, key=lambda w: w[0].sort_key()))
-    out: dict = {}
-    for consts, group in split.items():
-        for w, c in _reduce(group, rows).items():
-            accumulate(out, tuple(sorted(consts + w, key=JetSymbol.sort_key)), c)
-    return CoeffExpr(out, True)
-
-
-@st.composite
-def lorenz_inputs(draw):
-    """An expression linear in the jets of A, of order 0..4, with or without mu."""
-    n = draw(st.integers(1, 4))
-    order = draw(st.integers(0, 4))
-    jets = st.builds(lambda i, derivs: JetSymbol("A", i, derivs), st.integers(1, n),
-                     st.lists(st.integers(1, n), max_size=order))
-    prefix = st.sampled_from([(), (MU,)])
-    items = draw(st.lists(st.tuples(st.integers(-3, 3).map(scalar),
-                                    st.builds(lambda p, a: p + (a,), prefix, jets)),
-                          max_size=6))
-    return CoeffExpr(items, True), n
-
-
-@PROPERTY
-@given(lorenz_inputs())
-def test_lorenz_reduce_matches_echelon_reference(case):
-    x, n = case
-    got, want = lorenz_reduce(x, n), echelon_lorenz_reduce(x, n)
-    assert list(got.terms.items()) == list(want.terms.items())

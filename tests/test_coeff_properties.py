@@ -27,10 +27,21 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from strategies import (  # noqa: E402
+    PROPERTY,
+    coeff_items,
+    coeff_words,
+    derive_items,
+    int_scalars,
+    letter_lists,
+    modes,
+    plain_words,
+)
 
 import z3forms  # noqa: E402
+from shared import BU, BUINV, U, UINV, X1  # noqa: E402
 from z3forms.coeffs import (  # noqa: E402
     CONSTANT_NAMES,
     INVERSE_PAIRS,
@@ -40,33 +51,7 @@ from z3forms.coeffs import (  # noqa: E402
     _cancel_counted,
     normalize_word,
 )
-from z3forms.scalar import ONE, Scalar  # noqa: E402
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
-
-LETTERS = (
-    JetSymbol("f"),
-    JetSymbol("g"),
-    JetSymbol("f", derivs=(1,)),
-    JetSymbol("A", 2, (1, 2)),
-    JetSymbol("f", barred=True),
-    JetSymbol("A", 1, barred=True),
-    JetSymbol("x", 1),
-    JetSymbol("x", 2),
-    JetSymbol("U"),
-    JetSymbol("Uinv"),
-    JetSymbol("U", barred=True),
-    JetSymbol("Uinv", barred=True),
-    JetSymbol("U", derivs=(2,)),
-    JetSymbol("mu"),
-)
-PLAIN = tuple(s for s in LETTERS if s.name not in ("U", "Uinv", "mu"))
-
-modes = st.booleans()
-scalars = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3))
-words = st.lists(st.sampled_from(LETTERS), max_size=4).map(tuple)
-# Few distinct words, so that terms collide and cancel.
-items = st.lists(st.tuples(scalars, words), max_size=5)
+from z3forms.scalar import ONE  # noqa: E402
 
 
 def canonical(expr: CoeffExpr) -> None:
@@ -76,7 +61,7 @@ def canonical(expr: CoeffExpr) -> None:
 
 
 @PROPERTY
-@given(items, items, modes)
+@given(coeff_items, coeff_items, modes)
 def test_sum_and_difference_match_constructor(xs, ys, commutative):
     a, b = CoeffExpr(xs, commutative), CoeffExpr(ys, commutative)
     total = a + b
@@ -90,7 +75,7 @@ def test_sum_and_difference_match_constructor(xs, ys, commutative):
 
 
 @PROPERTY
-@given(items, scalars, modes)
+@given(coeff_items, int_scalars, modes)
 def test_scale_and_negation_match_constructor(xs, s, commutative):
     a = CoeffExpr(xs, commutative)
     scaled = a.scale(s)
@@ -104,7 +89,7 @@ def test_scale_and_negation_match_constructor(xs, s, commutative):
 
 
 @PROPERTY
-@given(words, modes)
+@given(coeff_words, modes)
 def test_normalize_word_is_idempotent(word, commutative):
     once = normalize_word(word, commutative)
     assert normalize_word(once, commutative) == once
@@ -112,7 +97,7 @@ def test_normalize_word_is_idempotent(word, commutative):
 
 
 @PROPERTY
-@given(st.lists(st.sampled_from(PLAIN), max_size=5).map(tuple), modes)
+@given(plain_words, modes)
 def test_normalize_word_keeps_plain_words(word, commutative):
     got = normalize_word(word, commutative)
     assert got == (tuple(sorted(word, key=JetSymbol.sort_key)) if commutative else word)
@@ -150,26 +135,6 @@ def test_jet_symbol_hash_survives_pickling_across_processes():
 
 # -- derive against the generic path -------------------------------------------
 
-U, UINV = JetSymbol("U"), JetSymbol("Uinv")
-BU, BUINV = JetSymbol("U", barred=True), JetSymbol("Uinv", barred=True)
-X1, X2 = JetSymbol("x", 1), JetSymbol("x", 2)
-PAIRS = ((U, UINV), (UINV, U), (BU, BUINV), (BUINV, BU))
-
-DERIVE_LETTERS = LETTERS + (JetSymbol("x", 3),)
-
-short_words = st.lists(st.sampled_from(DERIVE_LETTERS), max_size=2).map(tuple)
-# ``a x[i] b`` and ``a' a x[i] b b'`` for inverse pairs: dropping x[i] cancels.
-sandwiches = st.tuples(st.sampled_from(PAIRS), st.sampled_from((X1, X2))).map(
-    lambda t: (t[0][0], t[1], t[0][1]))
-nested = st.tuples(st.sampled_from(PAIRS), sandwiches).map(
-    lambda t: (t[0][0],) + t[1] + (t[0][1],))
-cancelling_words = st.tuples(short_words, st.one_of(sandwiches, nested), short_words).map(
-    lambda t: t[0] + t[1] + t[2])
-derive_items = st.lists(st.tuples(
-    scalars,
-    st.one_of(st.lists(st.sampled_from(DERIVE_LETTERS), max_size=4).map(tuple),
-              cancelling_words)), max_size=5)
-
 
 def ref_derive(x: CoeffExpr, m: int) -> CoeffExpr:
     """The Leibniz rule, every raw term sent through ``CoeffExpr(items, mode)``."""
@@ -200,7 +165,7 @@ def test_derive_matches_generic_path(xs, m, commutative):
 
 
 @PROPERTY
-@given(st.one_of(items, derive_items), st.integers(1, 3), modes)
+@given(derive_items, st.integers(1, 3), modes)
 def test_derived_jets_are_valid_symbols(xs, m, commutative):
     # ``derive`` builds its jets without the checks of ``JetSymbol.__new__``.
     for word in CoeffExpr(xs, commutative).derive(m).terms:
@@ -241,23 +206,6 @@ def loop_cancel_adjacent(letters: list[JetSymbol]) -> list[JetSymbol]:
             if changed:
                 break
     return letters
-
-
-CANCEL_LETTERS = (U, UINV, BU, BUINV, JetSymbol("U", derivs=(1,)),
-                  JetSymbol("U", derivs=(2,), barred=True), JetSymbol("f"), X1)
-
-
-
-def _nest(children):
-    """Wrap a letter list in an inverse pair, or join several lists."""
-    return st.one_of(
-        st.tuples(st.sampled_from(PAIRS), children).map(
-            lambda t: [t[0][0], *t[1], t[0][1]]),
-        st.lists(children, max_size=3).map(lambda groups: sum(groups, [])))
-
-
-letter_lists = st.recursive(st.sampled_from(CANCEL_LETTERS).map(lambda s: [s]), _nest,
-                            max_leaves=8)
 
 
 @PROPERTY

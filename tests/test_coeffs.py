@@ -8,26 +8,14 @@ import pytest
 
 from z3forms import CoeffExpr, JetSymbol
 from z3forms.coeffs import SORT_KEYS, normalize_word
-from z3forms.scalar import J, Scalar
+from z3forms.scalar import J
+from z3forms.verify import _rand_scalar
+
+from shared import rand_coeff
 
 
 def sym_expr(name: str, commutative: bool = False, **kw) -> CoeffExpr:
     return CoeffExpr.from_symbol(JetSymbol(name, **kw), commutative)
-
-
-def rand_coeff(rng: random.Random, commutative: bool = False) -> CoeffExpr:
-    names = ["f", "g", "h"]
-    acc = CoeffExpr.zero(commutative)
-    for _ in range(rng.randint(1, 3)):
-        word = tuple(
-            JetSymbol(rng.choice(names), derivs=tuple(
-                rng.randint(1, 3) for _ in range(rng.randint(0, 2))
-            ))
-            for _ in range(rng.randint(1, 3))
-        )
-        coeff = Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-        acc = acc + CoeffExpr([(coeff, word)], commutative)
-    return acc
 
 
 def test_jet_symbol_sorted_derivs():
@@ -143,7 +131,7 @@ def test_derive_is_linear():
     rng = random.Random(23)
     for _ in range(40):
         a, b = rand_coeff(rng), rand_coeff(rng)
-        s = Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+        s = _rand_scalar(rng, 3)
         lhs = (a.scale(s) + b).derive(2)
         rhs = a.derive(2).scale(s) + b.derive(2)
         assert (lhs - rhs).is_zero()

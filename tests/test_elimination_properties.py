@@ -4,7 +4,7 @@
 dicts from arbitrary hashable keys to nonzero Scalars.  These tests check
 them on generated systems over Q(j) against a dense reference written
 here: Gauss elimination on rows of ``Fraction`` pairs, with the Q(j)
-arithmetic of the reference model in ``test_scalar_properties``.
+arithmetic of the reference model in ``shared``.
 """
 
 from __future__ import annotations
@@ -15,30 +15,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-from test_scalar_properties import PROPERTY, ref, ref_inverse, ref_mul, ref_sub  # noqa: E402
+from strategies import PROPERTY, four_scalars, pivot_rules, systems, vectors  # noqa: E402
 
+from shared import ref, ref_inverse, ref_mul, ref_sub  # noqa: E402
 from z3forms.action import _echelon, _reduce, solve_linear  # noqa: E402
-from z3forms.coeffs import JetSymbol  # noqa: E402
 from z3forms.lincomb import accumulate  # noqa: E402
 from z3forms.scalar import ZERO, Scalar  # noqa: E402
-
-#: Keys of the generated systems: ints, tuples and (p, word) pairs, as the
-#: callers use them (words, and (component, word) pairs).
-KEYS = (
-    0, 1, 2, 7,
-    (1, 2), (2, 1), (),
-    (1, (JetSymbol("A", 1, (1,)),)), (2, (JetSymbol("A", 1, (1,)),)), (1, (JetSymbol("A", 2),)),
-)
-
-scalars = st.builds(lambda a, b, r: Scalar(Fraction(a, r), Fraction(b, r)),
-                    st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3))
-nonzero = scalars.filter(lambda x: not x.is_zero())
-vectors = st.dictionaries(st.sampled_from(KEYS), nonzero, min_size=1, max_size=5)
-systems = st.lists(vectors, min_size=1, max_size=4)
-
-#: Pivot rules for ``_echelon``: the first or the last key of a residue.
-PIVOT_RULES = (lambda vec: next(iter(vec)), lambda vec: list(vec)[-1])
 
 
 # -- dense reference ---------------------------------------------------------------
@@ -77,16 +59,15 @@ def combination(coeffs: list[Scalar], vecs: list[dict]) -> dict:
 
 
 @PROPERTY
-@given(systems.flatmap(lambda cols: st.tuples(
-    st.just(cols), st.lists(scalars, min_size=len(cols), max_size=len(cols)))))
-def test_solve_recovers_planted_solution(case):
-    columns, planted = case
+@given(systems, four_scalars)
+def test_solve_recovers_planted_solution(columns, coeffs):
+    planted = coeffs[:len(columns)]
     assume(ref_rank(columns) == len(columns))
     assert solve_linear(columns, combination(planted, columns)) == planted
 
 
 @PROPERTY
-@given(systems, st.lists(scalars, min_size=4, max_size=4), vectors)
+@given(systems, four_scalars, vectors)
 def test_solve_rejects_dependent_columns(columns, coeffs, target):
     dependent = columns + [combination(coeffs, columns)]
     assert ref_rank(dependent) < len(dependent)
@@ -106,7 +87,7 @@ def test_solve_rejects_target_outside_span(columns, target):
 
 
 @PROPERTY
-@given(systems, vectors, st.sampled_from(PIVOT_RULES))
+@given(systems, vectors, pivot_rules)
 def test_reduce_is_zero_exactly_on_the_span(vecs, vec, pivot_of):
     rows = _echelon(vecs, pivot_of)
     assert len(rows) == ref_rank(vecs)
@@ -115,7 +96,7 @@ def test_reduce_is_zero_exactly_on_the_span(vecs, vec, pivot_of):
 
 
 @PROPERTY
-@given(systems, vectors, st.sampled_from(PIVOT_RULES))
+@given(systems, vectors, pivot_rules)
 def test_residue_avoids_every_pivot(vecs, vec, pivot_of):
     rows = _echelon(vecs, pivot_of)
     for p, row in rows.items():

@@ -2,7 +2,8 @@
 module-level name is used somewhere and defined in one module only, no
 function only forwards to a method, every parameter is read, every name
 the benchmark's layer tracer wraps exists, and every value type but
-``Scalar`` is built on the ``lincomb`` core."""
+``Scalar`` is built on the ``lincomb`` core.  The test modules define each
+helper name once and import no other test module."""
 
 from __future__ import annotations
 
@@ -38,8 +39,20 @@ def _module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
             out.append((node.name, node.lineno))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+            for t in targets:
+                names = t.elts if isinstance(t, ast.Tuple) else [t]
+                out += [(e.id, node.lineno) for e in names if isinstance(e, ast.Name)]
     return [(name, line) for name, line in out if not name.startswith("__")]
+
+
+def _defined_twice(paths, skip: str = "__") -> dict[str, list[str]]:
+    """Names not starting with ``skip`` that more than one module defines."""
+    owners: dict[str, set[str]] = {}
+    for path in paths:
+        for name, _ in _module_level_names(ast.parse(path.read_text())):
+            if not name.startswith(skip):
+                owners.setdefault(name, set()).add(path.name)
+    return {name: sorted(m) for name, m in owners.items() if len(m) > 1}
 
 
 def test_every_module_level_name_is_used():
@@ -63,11 +76,27 @@ def test_every_module_level_name_is_used():
 def test_no_two_modules_define_one_name():
     # The check above counts words over the whole tree, so a name that two
     # modules define passes it while only one of the two is used.
-    owners: dict[str, set[str]] = {}
-    for path in sorted((ROOT / "src" / "z3forms").glob("*.py")):
-        for name, _ in _module_level_names(ast.parse(path.read_text())):
-            owners.setdefault(name, set()).add(path.name)
-    assert {name: sorted(m) for name, m in owners.items() if len(m) > 1} == {}
+    assert _defined_twice(sorted((ROOT / "src" / "z3forms").glob("*.py"))) == {}
+
+
+def test_no_two_test_modules_define_one_name():
+    # Test data that several modules use lives once, in tests/shared.py or
+    # tests/strategies.py; the tests themselves may share names.
+    assert _defined_twice(sorted((ROOT / "tests").glob("*.py")), skip="test_") == {}
+
+
+def test_no_test_module_imports_another():
+    imports = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            imports += [f"{path.name}: {n}" for n in names if n.split(".")[-1].startswith("test_")]
+    assert imports == []
 
 
 def test_no_function_only_forwards_to_a_method():

@@ -18,103 +18,7 @@ from z3forms import (
 from z3forms.cli import main
 from z3forms.expr import MAX_DEPTH, parse
 
-# Every syntax-tree node kind appears below: numeric literals, phase
-# literals, symbols (indexed, with derivative lists, barred), generators,
-# ternary generators, the differential (applied and directional), the
-# conjugate-side builder, products, signed sums, and matrix literals.
-CORPUS = [
-    # literals and scalars
-    "0",
-    "1",
-    "-5",
-    "2/3",
-    "-7/4",
-    "j",
-    "j^2",
-    "1 + j",
-    "2 - j",
-    "1/2 + 1/2 j",
-    "(1 + j) (1 - j)",
-    # coefficient symbols and jet words
-    "f",
-    "~f",
-    "A[1]",
-    "A[2]_,1,2",
-    "~A[1]_,2",
-    "f_,1,1",
-    "f g",
-    "g f",
-    "f * g",
-    "2 f - 3 g",
-    "x[1]",
-    "x[2] x[1]",
-    "U Uinv",
-    "Uinv U f",
-    "mu",
-    "f mu",
-    "mu f g",
-    # generators and forms
-    "dx[1]",
-    "ddx[2]",
-    "dx[1] dx[2]",
-    "dx[2] dx[3] dx[1]",
-    "dx[1] dx[1] dx[1]",
-    "ddx[1] dx[2]",
-    "dx[1] ddx[2]",
-    "ddx[1] ddx[2]",
-    "f dx[1]",
-    "f dx[1] g dx[2]",
-    "f dx[1] g dx[2] dx[3]",
-    "dx[1] + dx[2]",
-    "dx[1] + ddx[1]",
-    "-2/3 dx[1]",
-    "j dx[1] dx[2]",
-    "(f + g) dx[1]",
-    "x[1] dx[2]",
-    # ternary generators
-    "th[1]",
-    "bth[2]",
-    "th[1] th[2]",
-    "th[2] th[1]",
-    "bth[1] th[1]",
-    "th[1] th[2] th[3]",
-    "th[1] th[1] th[1]",
-    # the differential
-    "d(f)",
-    "d(d(f))",
-    "d(d(d(f)))",
-    "d(x[1] x[2])",
-    "d(f dx[1])",
-    "d(d(x[1] dx[2]))",
-    "d(U x[1] Uinv)",
-    "d(d(U x[1] Uinv dx[2]))",
-    "d(A[1] dx[1])",
-    "d[1](f)",
-    "d[2](f g)",
-    "d[1](Uinv)",
-    # conjugate side
-    "delta(dx[1] dx[2] dx[3])",
-    "delta(f dx[1] dx[2] dx[3])",
-    "delta(ddx[1] dx[2])",
-    "j delta(dx[1] dx[2] dx[3])",
-    "delta(dx[1] dx[2] dx[3]) + delta(ddx[2] dx[1])",
-    # matrices
-    "mat[0, 1, 0; 0, 0, 1; 1, 0, 0]",
-    "mat[1, 0, 0; 0, 1, 0; 0, 0, 1]",
-    "mat[0, j, 0; 0, 0, 1 - j; 1/2, 0, 0]",
-    "d(mat[0, 1, 0; 0, 0, 0; 0, 0, 0])",
-    "mat[0, 1, 0; 0, 0, 1; 1, 0, 0] mat[0, 1, 0; 0, 0, 1; 1, 0, 0]",
-    # conjugate side: barred jets, antilinear scaling, d of delta, U and
-    # Uinv runs, mu, reordered generators, cancellation
-    "delta(~f (A[1]_,2) dx[2] dx[1] dx[1])",
-    "(1 - j) delta(ddx[2] dx[1]) - delta(f g ddx[1] dx[2])",
-    "d(delta(dx[1] dx[2] dx[3]))",
-    "delta(U x[1] Uinv dx[1] dx[2] dx[3])",
-    "delta(mu f dx[1] dx[2] dx[3]) + delta(ddx[1] dx[1])",
-    "delta(f dx[1] ddx[2])",
-    "delta(f_,1 dx[3] dx[2] dx[1] + (2 + j) g ddx[3] dx[3])",
-    "delta(f dx[1] dx[2] dx[3]) - delta(f dx[1] dx[2] dx[3])",
-]
+from shared import CORPUS
 
 
 def test_corpus_is_large_enough():

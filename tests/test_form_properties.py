@@ -19,69 +19,14 @@ import itertools
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
+from hypothesis import given  # noqa: E402
+from strategies import FORM_SCALARS, PROPERTY, form, forms, mixed_form  # noqa: E402
 
+from shared import F, G, U, UINV, X1, X2  # noqa: E402
 from z3forms.coeffs import CoeffExpr, JetSymbol  # noqa: E402
 from z3forms.forms import Form, normalize_form_word, word_degree  # noqa: E402
 from z3forms.render import _letter_text, _render_terms  # noqa: E402
-from z3forms.scalar import ONE, Scalar, jpow  # noqa: E402
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
-
-SCALARS = [Scalar(a, b) for a in (-2, -1, 0, 1, 3) for b in (-1, 0, 2)
-           if (a, b) != (0, 0)]
-
-#: Generator kinds of a word, by degree.
-SHAPES = {
-    0: [()],
-    1: [("dx",)],
-    2: [("dx", "dx"), ("ddx",)],
-    3: [("dx", "dx", "dx"), ("ddx", "dx"), ("dx", "ddx")],
-}
-
-
-def symbols(n: int):
-    fixed = [JetSymbol("U"), JetSymbol("Uinv"), JetSymbol("U", barred=True),
-             JetSymbol("Uinv", barred=True), JetSymbol("mu"), JetSymbol("f"),
-             JetSymbol("f", barred=True), JetSymbol("g", 1)]
-    indexed = [JetSymbol("x", i) for i in range(1, n + 1)]
-    indexed += [JetSymbol("f", derivs=(i,)) for i in range(1, n + 1)]
-    return st.sampled_from(fixed + indexed)
-
-
-def runs(n: int):
-    return st.lists(symbols(n), max_size=2)
-
-
-@st.composite
-def words(draw, n: int, degree: int, tailed: bool = False):
-    """A raw word of the given degree; ``tailed`` ends it in a generator."""
-    word: list = []
-    for kind in draw(st.sampled_from(SHAPES[degree])):
-        word += draw(runs(n))
-        word.append((kind, draw(st.integers(1, n))))
-    if not tailed:
-        word += draw(runs(n))
-    return tuple(word)
-
-
-@st.composite
-def forms(draw, n: int, commutative: bool, degrees=(0, 1, 2, 3), tailed=False):
-    """A form whose raw words all have one degree drawn from ``degrees``."""
-    degree = draw(st.sampled_from(degrees))
-    items = draw(st.lists(st.tuples(st.sampled_from(SCALARS), words(n, degree, tailed)),
-                          min_size=1, max_size=3))
-    return Form(n, items, commutative)
-
-
-def mixed_forms(n: int, commutative: bool):
-    """A sum of 2-3 drawn forms, so one form can hold words of several degrees."""
-    return st.lists(forms(n, commutative), min_size=2, max_size=3).map(
-        lambda xs: sum(xs[1:], xs[0]))
-
-
-n_and_mode = st.tuples(st.integers(1, 4), st.booleans())
+from z3forms.scalar import ONE, jpow  # noqa: E402
 
 
 # -- reference: the generic path through Form(n, raw terms, mode) ----------------
@@ -96,7 +41,7 @@ def factors(word: tuple) -> list[tuple]:
     return out
 
 
-def ref_d(x: Form) -> Form:
+def generic_d(x: Form) -> Form:
     items = []
     for word, coeff in x.terms.items():
         parts = factors(word)
@@ -117,7 +62,7 @@ def ref_d(x: Form) -> Form:
     return Form(x.n, items, x.commutative)
 
 
-def ref_mul(x: Form, y: Form) -> Form:
+def generic_mul(x: Form, y: Form) -> Form:
     return Form(x.n, [(c1 * c2, w1 + w2) for w1, c1 in x.terms.items()
                       for w2, c2 in y.terms.items()], x.commutative)
 
@@ -135,11 +80,9 @@ def assert_canonical(x: Form) -> None:
 # -- inputs the strategies cannot build -----------------------------------------
 
 
-U, UINV, U_1, MU, F, G = (JetSymbol("U"), JetSymbol("Uinv"), JetSymbol("U", derivs=(1,)),
-                          JetSymbol("mu"), JetSymbol("f"), JetSymbol("g"))
-X1, X2 = JetSymbol("x", 1), JetSymbol("x", 2)
+U_1, MU = JetSymbol("U", derivs=(1,)), JetSymbol("mu")
 
-#: Words with runs of three letters, which ``runs`` never draws.
+#: Words with runs of three letters, which the strategies never draw.
 EDGE_WORDS = {
     # At q = 1 two positions give the word Uinv U_,1 Uinv U_,1 Uinv.
     "Uinv U_,1 Uinv dx[1] dx[2]": (UINV, U_1, UINV, ("dx", 1), ("dx", 2)),
@@ -170,15 +113,15 @@ def test_d_matches_generic_path_on_long_runs(text, commutative, n):
         items = SAME_WORD_TWICE
     else:
         words = list(EDGE_WORDS.values()) if text == "all" else [EDGE_WORDS[text]]
-        items = [(SCALARS[i], w) for i, w in enumerate(words)]
+        items = [(FORM_SCALARS[i], w) for i, w in enumerate(words)]
     # Each word, and its head before the last generator: d of the head
     # reaches the word's degree, so d∘d goes through the degree-2 path.
     heads = [(c, w[:max(i for i, l in enumerate(w) if type(l) is tuple)]) for c, w in items]
     for raw in (items, heads):
         x = Form(n, raw, commutative)
         once, twice = x.d(), x.d().d()
-        assert same_terms_in_order(once, ref_d(x))
-        assert same_terms_in_order(twice, ref_d(ref_d(x)))
+        assert same_terms_in_order(once, generic_d(x))
+        assert same_terms_in_order(twice, generic_d(generic_d(x)))
         assert_canonical(once)
         assert_canonical(twice)
 
@@ -187,38 +130,39 @@ def test_d_matches_generic_path_on_long_runs(text, commutative, n):
 
 
 @PROPERTY
-@given(n_and_mode.flatmap(lambda nm: st.tuples(forms(*nm), mixed_forms(*nm))))
+@given(forms(form(), mixed_form))
 def test_d_matches_generic_path(pair):
     for x in pair:
         got = x.d()
-        assert same_terms_in_order(got, ref_d(x))
+        assert same_terms_in_order(got, generic_d(x))
         assert_canonical(got)
 
 
 @PROPERTY
-@given(n_and_mode.flatmap(lambda nm: st.tuples(forms(*nm), forms(*nm))))
+@given(forms(form(), form()))
 def test_product_matches_generic_path(pair):
     x, y = pair
     got = x * y
-    assert same_terms_in_order(got, ref_mul(x, y))
+    assert same_terms_in_order(got, generic_mul(x, y))
     assert_canonical(got)
 
 
 @PROPERTY
-@given(n_and_mode.flatmap(lambda nm: forms(*nm, degrees=(3,))))
-def test_d_of_degree_three_vanishes(x):
+@given(forms(form(degrees=(3,))))
+def test_d_of_degree_three_vanishes(case):
+    (x,) = case
     assert x.d().is_zero()
 
 
 @PROPERTY
-@given(n_and_mode.flatmap(lambda nm: forms(*nm)))
-def test_d_cubed_vanishes(x):
+@given(forms(form()))
+def test_d_cubed_vanishes(case):
+    (x,) = case
     assert x.d().d().d().is_zero()
 
 
 @PROPERTY
-@given(n_and_mode.flatmap(lambda nm: st.tuples(
-    forms(*nm, degrees=(1, 2, 3), tailed=True), forms(*nm))))
+@given(forms(form(degrees=(1, 2, 3), tailed=True), form()))
 def test_graded_leibniz_generator_tailed(pair):
     w, phi = pair
     grade = w.grade_and_degree()[0]
@@ -243,8 +187,9 @@ def in_reference_order(x: Form) -> str:
 
 
 @PROPERTY
-@given(n_and_mode.flatmap(lambda nm: mixed_forms(*nm)))
-def test_terms_print_in_reference_order(x):
+@given(forms(mixed_form))
+def test_terms_print_in_reference_order(case):
+    (x,) = case
     for value in (x, x.d()):
         assert str(value) == in_reference_order(value)
 

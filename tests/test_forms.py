@@ -21,45 +21,10 @@ from z3forms import (
     redistribute_t3,
 )
 from z3forms.forms import normalize_form_word, word_degree
-from z3forms.scalar import J, J2, ONE, Scalar, jpow
+from z3forms.scalar import J, J2, ONE, jpow
+from z3forms.verify import _rand_degree3, _rand_form
 
-
-def rand_scalar(rng: random.Random) -> Scalar:
-    return Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-
-
-def rand_run(rng: random.Random) -> tuple:
-    names = ("f", "g")
-    return tuple(
-        JetSymbol(rng.choice(names)) for _ in range(rng.randint(0, 1))
-    )
-
-
-def rand_form(rng: random.Random, n: int, max_degree: int = 2) -> Form:
-    shapes = [(), ("dx",), ("ddx",), ("dx", "dx")]
-    shapes = [
-        s for s in shapes
-        if sum(1 if t == "dx" else 2 for t in s) <= max_degree
-    ]
-    out = Form.zero(n)
-    for _ in range(rng.randint(1, 3)):
-        word: list = []
-        for kind in rng.choice(shapes):
-            word.extend(rand_run(rng))
-            word.append((kind, rng.randint(1, n)))
-        word.extend(rand_run(rng))
-        out = out + Form(n, [(rand_scalar(rng), tuple(word))])
-    return out
-
-
-def rand_generator_tailed(rng: random.Random, n: int) -> Form:
-    """Nonzero-probability forms whose words end in a generator."""
-    out = Form.zero(n)
-    for _ in range(rng.randint(1, 2)):
-        word: list = list(rand_run(rng))
-        word.append(("dx" if rng.random() < 0.7 else "ddx", rng.randint(1, n)))
-        out = out + Form(n, [(rand_scalar(rng), tuple(word))])
-    return out
+from shared import F, G, U, UINV, WORKED_SECOND_DIFFERENTIALS, rand_generator_tailed
 
 
 # -- normalization rules ---------------------------------------------------------
@@ -166,49 +131,17 @@ def test_differential_of_coefficient():
 
 
 def test_second_differential_of_coefficient():
-    n = 3
-    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
-    want = Form.zero(n)
-    for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            want = want + Form(
-                n,
-                [(ONE, (JetSymbol("f", derivs=(i, k)), ("dx", k), ("dx", i)))],
-            )
-    for i in range(1, n + 1):
-        want = want + Form(n, [(ONE, (JetSymbol("f", derivs=(i,)), ("ddx", i)))])
+    f, want = WORKED_SECOND_DIFFERENTIALS["f"]
     assert f.d().d() == want
 
 
 def test_second_differential_of_coordinate_one_form():
-    n = 3
-    w = coordinate(1, n) * dx(2, n)
-    want = ddx(1, n) * dx(2, n) - ddx(2, n) * dx(1, n)
+    w, want = WORKED_SECOND_DIFFERENTIALS["x[1] dx[2]"]
     assert w.d().d() == want
 
 
 def test_second_differential_of_generic_one_form():
-    n = 3
-    om = Form.zero(n)
-    for k in range(1, n + 1):
-        om = om + Form(n, [(ONE, (JetSymbol("w", k), ("dx", k)))])
-    want = Form.zero(n)
-    for m in range(1, n + 1):
-        for i in range(1, n + 1):
-            for k in range(1, n + 1):
-                want = want + Form(
-                    n,
-                    [(ONE, (JetSymbol("w", k, (i, m)),
-                            ("dx", m), ("dx", i), ("dx", k)))],
-                )
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            want = want + Form(
-                n, [(ONE, (JetSymbol("w", k, (i,)), ("ddx", i), ("dx", k)))]
-            )
-            want = want + Form(
-                n, [(-ONE, (JetSymbol("w", i, (k,)), ("ddx", i), ("dx", k)))]
-            )
+    om, want = WORKED_SECOND_DIFFERENTIALS["w[k] dx[k]"]
     assert om.d().d() == want
 
 
@@ -216,7 +149,7 @@ def test_third_differential_vanishes_random():
     rng = random.Random(51)
     for n in (2, 3):
         for _ in range(80):
-            w = rand_form(rng, n)
+            w = _rand_form(rng, n)
             assert w.d().d().d().is_zero()
 
 
@@ -224,7 +157,7 @@ def test_image_containments():
     rng = random.Random(52)
     n = 3
     for _ in range(60):
-        w = rand_form(rng, n)
+        w = _rand_form(rng, n)
         first = w.d()
         assert first.d().d().is_zero()      # image of d sits inside ker d^2
         second = w.d().d()
@@ -244,7 +177,7 @@ def test_product_associativity_random():
     rng = random.Random(53)
     n = 2
     for _ in range(80):
-        a, b, c = (rand_form(rng, n, 1) for _ in range(3))
+        a, b, c = (_rand_form(rng, n, 1) for _ in range(3))
         assert ((a * b) * c - a * (b * c)).is_zero()
 
 
@@ -263,7 +196,7 @@ def test_product_rule_generator_tailed():
     n = 2
     for _ in range(120):
         w = rand_generator_tailed(rng, n)
-        phi = rand_form(rng, n, 1)
+        phi = _rand_form(rng, n, 1)
         grade = w.grade_and_degree()[0]
         if grade == "mixed":
             continue
@@ -295,18 +228,17 @@ def test_product_rule_seam_residual():
     assert not residual.is_zero()
 
 
-F, G, H = (JetSymbol(name) for name in ("f", "g", "h"))
-CU, CUINV = JetSymbol("U"), JetSymbol("Uinv")
+H = JetSymbol("h")
 DX1, DX2, DDX1, DDX2 = ("dx", 1), ("dx", 2), ("ddx", 1), ("ddx", 2)
 
 # One product per branch of ``Form.__mul__``, as pairs of raw words.
 PRODUCT_BRANCHES = {
-    "runs meet below degree 3": [((DX1, CU), (CUINV, DX2)), ((F, DX1, G), (H,)),
-                                 ((G,), (F, DX1)), ((F, DX1, CU), (CUINV, G))],
-    "runs apart below degree 3": [((F, DX1), (G, DX2)), ((), (DX1, G)), ((DX1,), (CU, DX2)),
+    "runs meet below degree 3": [((DX1, U), (UINV, DX2)), ((F, DX1, G), (H,)),
+                                 ((G,), (F, DX1)), ((F, DX1, U), (UINV, G))],
+    "runs apart below degree 3": [((F, DX1), (G, DX2)), ((), (DX1, G)), ((DX1,), (U, DX2)),
                                   ((G, DDX1), (F,)), ((F,), ())],
     "degree 3": [((F, DX1, G), (DDX2,)), ((DX2, DX1), (F, DX1)), ((DX1,), (DDX1,)),
-                 ((DX1, DX1), (DX1,)), ((G, DX1, CU), (CUINV, F, DDX2))],
+                 ((DX1, DX1), (DX1,)), ((G, DX1, U), (UINV, F, DDX2))],
     "past degree 3": [((DDX1,), (DDX2,)), ((DX1, DX2), (F, DDX1))],
 }
 
@@ -331,7 +263,7 @@ def test_each_product_branch_matches_normalize_form_word(branch, commutative):
 
 @pytest.mark.parametrize("commutative", [False, True])
 def test_runs_meeting_in_a_product_cancel(commutative):
-    dx1_u, uinv_dx2 = (Form(2, [(ONE, raw)], commutative) for raw in ((DX1, CU), (CUINV, DX2)))
+    dx1_u, uinv_dx2 = (Form(2, [(ONE, raw)], commutative) for raw in ((DX1, U), (UINV, DX2)))
     assert (dx1_u * uinv_dx2).terms == {(DX1, DX2): ONE}
 
 
@@ -396,23 +328,11 @@ def test_degree_three_generator_words_exhaustively(n, commutative):
         assert normalize_form_word(word, commutative) == [(ONE, word)]
 
 
-def rand_degree3(rng: random.Random, n: int) -> Form:
-    out = Form.zero(n)
-    for _ in range(rng.randint(1, 3)):
-        run = rand_run(rng)
-        if rng.random() < 0.5:
-            gens: tuple = tuple(("dx", rng.randint(1, n)) for _ in range(3))
-        else:
-            gens = (("ddx", rng.randint(1, n)), ("dx", rng.randint(1, n)))
-        out = out + Form(n, [(rand_scalar(rng), run + gens)])
-    return out
-
-
 def test_components_round_trip():
     rng = random.Random(55)
     n = 3
     for _ in range(60):
-        w = rand_degree3(rng, n)
+        w = _rand_degree3(rng, n)
         table = components(w)
         back = form_from_components(table)
         assert back == w
@@ -439,28 +359,14 @@ def test_redistribute_preserves_class():
     rng = random.Random(56)
     n = 3
     for _ in range(40):
-        w = rand_degree3(rng, n)
+        w = _rand_degree3(rng, n)
         table = components(w)
         spread = redistribute_t3(table.T3)
-        rebuilt = Form.zero(n)
-        for (i, k, m), coeff in spread.items():
-            rebuilt = rebuilt + Form(
-                n,
-                [
-                    (s, cw + (("dx", i), ("dx", k), ("dx", m)))
-                    for cw, s in coeff.terms.items()
-                ],
-            )
-        twosector = Form.zero(n)
-        for (i, k), coeff in table.T21.items():
-            twosector = twosector + Form(
-                n,
-                [
-                    (s, cw + (("ddx", i), ("dx", k)))
-                    for cw, s in coeff.terms.items()
-                ],
-            )
-        assert rebuilt + twosector == w
+        rebuilt = Form(n, [(s, cw + (("dx", i), ("dx", k), ("dx", m)))
+                           for (i, k, m), coeff in spread.items() for cw, s in coeff.terms.items()]
+                       + [(s, cw + (("ddx", i), ("dx", k)))
+                          for (i, k), coeff in table.T21.items() for cw, s in coeff.terms.items()])
+        assert rebuilt == w
 
 
 def test_normalize_form_entrypoint():

@@ -9,13 +9,8 @@ including the exact cubic obstruction of the pure-gauge curvature.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Mapping
-
-from hypothesis import given
-from hypothesis import strategies as st
-from test_form_properties import PROPERTY, SCALARS, symbols
+from itertools import product
 
 from z3forms import (
     CoeffExpr,
@@ -23,7 +18,6 @@ from z3forms import (
     JetSymbol,
     abelian_connection,
     components,
-    covariant_derivative_F,
     covariant_differential,
     curvature,
     curvature_components,
@@ -34,7 +28,6 @@ from z3forms import (
     matter_field,
     pure_gauge_connection,
 )
-from z3forms.forms import redistribute_t3
 from z3forms.gauge import (
     connection_form,
     conjugate_table_by_u,
@@ -45,37 +38,9 @@ from z3forms.gauge import (
     true_curvature_table,
 )
 from z3forms.scalar import Scalar
+from z3forms.verify import _rand_scalar
 
-
-JC = complex(-0.5, math.sqrt(3) / 2)  # numeric image of j
-
-
-class RandomAssignment(dict):
-    """Lazily assigns a random complex value to each jet symbol."""
-
-    def __init__(self, rng: random.Random) -> None:
-        super().__init__()
-        self.rng = rng
-
-    def __missing__(self, sym) -> complex:
-        v = complex(self.rng.uniform(-1, 1), self.rng.uniform(-1, 1))
-        self[sym] = v
-        return v
-
-
-def numeric_value(expr: CoeffExpr, assignment: RandomAssignment) -> complex:
-    total = 0j
-    for word, coeff in expr.terms.items():
-        val = complex(*coeff.embed_complex())
-        for sym in word:
-            val *= assignment[sym]
-        total += val
-    return total
-
-
-def abelianize(table: Mapping[tuple, CoeffExpr]) -> dict[tuple, CoeffExpr]:
-    """Re-normalize every entry's words with commuting coefficients."""
-    return {key: CoeffExpr(value.terms, True) for key, value in table.items()}
+from shared import assert_cyclic_combination_splits, assert_same_table, two_pass_symmetrize
 
 
 def test_two_generator_sector_is_field_strength():
@@ -133,25 +98,7 @@ def test_cyclic_covariant_combination_commutative_only():
 
 
 def test_cyclic_combination_numeric_split():
-    # (1/3)(j a + j^2 b) == -(a + b)/6 + i sqrt(3) (a - b)/6 evaluated on the
-    # actual covariant-derivative tables, to 1e-12.
-    rng = random.Random(61)
-    n = 2
-    conn = generic_connection(n)
-    DF = covariant_derivative_F(conn)
-    comb = covariant_cyclic_combination(conn)
-    assignment = RandomAssignment(rng)
-    zero = CoeffExpr.zero(False)
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            for m in range(1, n + 1):
-                va = numeric_value(DF[(i, m, k)], assignment)
-                vb = numeric_value(DF[(k, m, i)], assignment)
-                lhs = (JC * va + JC * JC * vb) / 3
-                rhs = -(va + vb) / 6 + 1j * math.sqrt(3) * (va - vb) / 6
-                assert abs(lhs - rhs) < 1e-12
-                ventry = numeric_value(comb.get((i, k, m), zero), assignment)
-                assert abs(ventry - lhs) < 1e-12
+    assert_cyclic_combination_splits(random.Random(61))
 
 
 def test_matter_identity():
@@ -258,14 +205,8 @@ def test_projector_idempotent_random():
     rng = random.Random(62)
     n = 2
     for _ in range(25):
-        table = {
-            (i, k, m): CoeffExpr.from_scalar(
-                Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-            )
-            for i in range(1, n + 1)
-            for k in range(1, n + 1)
-            for m in range(1, n + 1)
-        }
+        table = {key: CoeffExpr.from_scalar(_rand_scalar(rng, 3))
+                 for key in product(range(1, n + 1), repeat=3)}
         s1 = cyclic_symmetrize_raw(table, n, False)
         s2 = cyclic_symmetrize_raw(s1, n, False)
         assert tables_equal(s1, s2)
@@ -277,30 +218,12 @@ def test_projector_faithful_on_forms():
     rng = random.Random(63)
     n = 2
     for _ in range(25):
-        w = Form.zero(n)
-        for _ in range(rng.randint(1, 2)):
-            gens = tuple(("dx", rng.randint(1, n)) for _ in range(3))
-            w = w + Form(n, [(Scalar(rng.randint(-3, 3), rng.randint(-3, 3)), gens)])
-        table = components(w).T3
-        spread = cyclic_symmetrize(table)
-        rebuilt = Form.zero(n)
-        for (i, k, m), coeff in spread.items():
-            for cw, s in coeff.terms.items():
-                rebuilt = rebuilt + Form(
-                    n,
-                    [(s, cw + (("dx", i), ("dx", k), ("dx", m)))],
-                )
+        w = Form(n, [(_rand_scalar(rng, 3), tuple(("dx", rng.randint(1, n)) for _ in range(3)))
+                     for _ in range(rng.randint(1, 2))])
+        spread = cyclic_symmetrize(components(w).T3)
+        rebuilt = Form(n, [(s, cw + (("dx", i), ("dx", k), ("dx", m)))
+                           for (i, k, m), coeff in spread.items() for cw, s in coeff.terms.items()])
         assert rebuilt == w
-
-
-def two_pass_symmetrize(T3: Mapping[tuple, CoeffExpr], n: int, commutative: bool) -> dict:
-    """Reference: redistribute over full triples, then apply the projector."""
-    return cyclic_symmetrize_raw(redistribute_t3(T3), n, commutative)
-
-
-def assert_same_table(got: Mapping, want: Mapping) -> None:
-    assert list(got) == list(want)
-    assert got == want
 
 
 def test_symmetrize_matches_two_pass_reference_on_curvature():
@@ -310,24 +233,3 @@ def test_symmetrize_matches_two_pass_reference_on_curvature():
                 T3 = curvature_components(c).T3
                 assert_same_table(cyclic_symmetrize(T3),
                                   two_pass_symmetrize(T3, n, c.commutative))
-
-
-@st.composite
-def raw_t3_tables(draw):
-    """A table over any triples in 1..n: rotations that are not least, and
-    all-equal triples, included."""
-    n = draw(st.integers(1, 3))
-    commutative = draw(st.booleans())
-    index = st.integers(1, n)
-    coeffs = st.lists(st.tuples(st.sampled_from(SCALARS), st.lists(symbols(n), max_size=2)),
-                      min_size=1, max_size=2).map(lambda items: CoeffExpr(items, commutative))
-    table = draw(st.dictionaries(st.tuples(index, index, index), coeffs, max_size=6))
-    return table, n, commutative
-
-
-@PROPERTY
-@given(raw_t3_tables())
-def test_symmetrize_matches_two_pass_reference_generated(case):
-    table, n, commutative = case
-    assert_same_table(cyclic_symmetrize(table),
-                      two_pass_symmetrize(table, n, commutative))

@@ -23,8 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from test_expr_cli import CORPUS
 from z3forms.cli import main
+
+from shared import CORPUS
 
 GOLDEN = Path(__file__).parent / "golden"
 

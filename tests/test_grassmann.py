@@ -12,7 +12,10 @@ from z3forms import (
     theta,
     theta_only_count,
 )
-from z3forms.scalar import J, J2, Scalar, jpow
+from z3forms.scalar import J, J2, jpow
+from z3forms.verify import _rand_grass
+
+from shared import rand_grass_word
 
 THETA_ONLY = {1: 2, 2: 8, 3: 20, 4: 40, 5: 70}
 
@@ -25,27 +28,6 @@ def all_letters(N: int):
     return [theta(i) for i in range(1, N + 1)] + [
         bar_theta(i) for i in range(1, N + 1)
     ]
-
-
-def rand_element(rng: random.Random, N: int) -> GrassElement:
-    letters = all_letters(N)
-    acc = GrassElement.zero(N)
-    for _ in range(rng.randint(1, 3)):
-        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
-        acc = acc + GrassElement(
-            N, [(Scalar(rng.randint(-3, 3), rng.randint(-3, 3)), w)]
-        )
-    return acc
-
-
-def rand_homogeneous(rng: random.Random, N: int) -> GrassElement:
-    letters = all_letters(N)
-    length = rng.randint(0, 3)
-    while True:
-        w = tuple(rng.choice(letters) for _ in range(length))
-        el = word(N, *w)
-        if not el.is_zero() or length == 0:
-            return el
 
 
 def test_generator_counts_match_closed_form():
@@ -146,8 +128,8 @@ def test_grade_additivity_random():
     rng = random.Random(31)
     N = 3
     for _ in range(150):
-        x = rand_homogeneous(rng, N)
-        y = rand_homogeneous(rng, N)
+        x = rand_grass_word(rng, N)
+        y = rand_grass_word(rng, N)
         p = x * y
         if x.is_zero() or y.is_zero() or p.is_zero():
             continue
@@ -158,7 +140,7 @@ def test_associativity_random():
     rng = random.Random(32)
     N = 3
     for _ in range(120):
-        x, y, z = (rand_element(rng, N) for _ in range(3))
+        x, y, z = (_rand_grass(rng, N) for _ in range(3))
         assert ((x * y) * z - x * (y * z)).is_zero()
 
 

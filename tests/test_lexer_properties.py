@@ -15,22 +15,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
+from strategies import PROPERTY, texts  # noqa: E402
 
 from z3forms.expr import ParseError, _lex, _lexeme_offset, _line_col  # noqa: E402
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
-
-#: Pieces of generated texts: lexemes of every kind, Unicode digits, letters
-#: and whitespace, line breaks, and characters outside the grammar.
-PIECES = (
-    "f", "j", "x1", "dx", "ddx", "mat", "12", "0", "\u0663", "\u0660",
-    "(", ")", "[", "]", "*", "+", "-", "/", "^", ",", ";", "_", "~",
-    " ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u2028",
-    "$", "\u00e9", "\u00b2", ".",
-)
-
-texts = st.lists(st.sampled_from(PIECES), max_size=12).map("".join)
 
 
 # -- reference tokenizer ----------------------------------------------------------
@@ -79,7 +66,7 @@ def kind_of(lexeme: str) -> str:
 # -- properties -------------------------------------------------------------------
 
 
-@PROPERTY
+@settings(PROPERTY, max_examples=200)
 @given(texts)
 def test_lexemes_match_the_reference(text):
     try:
@@ -94,7 +81,7 @@ def test_lexemes_match_the_reference(text):
     assert [(kind_of(t), t) for t in lexemes] == [(k, t) for k, t, _, _ in want]
 
 
-@PROPERTY
+@settings(PROPERTY, max_examples=200)
 @given(texts)
 def test_positions_match_the_reference(text):
     try:

@@ -12,28 +12,10 @@ from z3forms import (
     eta_differential,
     graded_commutator,
 )
-from z3forms.scalar import J, ONE, Scalar, ZERO, jpow
+from z3forms.scalar import J, ONE, jpow
+from z3forms.verify import _rand_homogeneous_matrix, _rand_matrix
 
-
-def rand_scalar(rng: random.Random) -> Scalar:
-    return Scalar(rng.randint(-4, 4), rng.randint(-4, 4))
-
-
-def rand_matrix(rng: random.Random) -> GradedMatrix:
-    return GradedMatrix([[rand_scalar(rng) for _ in range(3)] for _ in range(3)])
-
-
-def rand_homogeneous(rng: random.Random, g: int) -> GradedMatrix:
-    rows = [[ZERO] * 3 for _ in range(3)]
-    for a in range(3):
-        rows[a][(a + g) % 3] = rand_scalar(rng)
-    return GradedMatrix(rows)
-
-
-def unit_matrix(a: int, b: int) -> GradedMatrix:
-    rows = [[ZERO] * 3 for _ in range(3)]
-    rows[a][b] = ONE
-    return GradedMatrix(rows)
+from shared import unit_matrix
 
 
 def test_eta_is_grade_one_with_cube_identity():
@@ -57,8 +39,8 @@ def test_grade_multiplies_additively():
     rng = random.Random(41)
     for _ in range(100):
         gb, gc = rng.randint(0, 2), rng.randint(0, 2)
-        b = rand_homogeneous(rng, gb)
-        c = rand_homogeneous(rng, gc)
+        b = _rand_homogeneous_matrix(rng, gb)
+        c = _rand_homogeneous_matrix(rng, gc)
         p = b * c
         if p.is_zero():
             continue
@@ -72,7 +54,7 @@ def test_differential_of_identity_vanishes():
 def test_differential_cubes_to_zero_random():
     rng = random.Random(42)
     for _ in range(250):
-        b = rand_matrix(rng)
+        b = _rand_matrix(rng)
         d3 = eta_differential(eta_differential(eta_differential(b)))
         assert d3.is_zero()
         # second power need not vanish: grade-1 pattern witnesses d^2 != 0
@@ -84,8 +66,8 @@ def test_graded_leibniz_random():
     rng = random.Random(43)
     for _ in range(250):
         gb = rng.randint(0, 2)
-        b = rand_homogeneous(rng, gb)
-        c = rand_matrix(rng)
+        b = _rand_homogeneous_matrix(rng, gb)
+        c = _rand_matrix(rng)
         lhs = eta_differential(b * c)
         rhs = eta_differential(b) * c + (b * eta_differential(c)).scale(jpow(gb))
         assert (lhs - rhs).is_zero()
@@ -94,7 +76,7 @@ def test_graded_leibniz_random():
 def test_differential_linear_over_graded_parts():
     rng = random.Random(44)
     for _ in range(60):
-        b = rand_matrix(rng)
+        b = _rand_matrix(rng)
         parts = b.graded_parts()
         recombined = GradedMatrix.zero()
         for part in parts.values():

@@ -16,25 +16,11 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
+from hypothesis import given  # noqa: E402
+from strategies import PROPERTY, dense_rows, entries, homogeneous, matrices  # noqa: E402
 
 from z3forms.matrices import ETA, GradedMatrix, eta_differential  # noqa: E402
 from z3forms.scalar import ONE, ZERO, Scalar, jpow  # noqa: E402
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
-
-# Drawing from a fixed pool keeps example generation cheap.  Zero entries
-# are drawn often, so that zero and partly zero parts occur.
-POOL = [Scalar(Fraction(a, r), Fraction(b, s))
-        for a in range(-4, 5) for b in (-3, 0, 1, 2) for r in (1, 2) for s in (1, 3)]
-entries = st.one_of(st.just(ZERO), st.sampled_from(POOL))
-triples = st.tuples(entries, entries, entries)
-dense_rows = st.tuples(triples, triples, triples)
-matrices = st.builds(GradedMatrix, dense_rows)
-grades = st.integers(0, 2)
-homogeneous = st.tuples(grades, triples).map(
-    lambda g_entries: (g_entries[0], GradedMatrix.homogeneous(*g_entries)))
 
 
 # -- dense reference: a matrix is a list of three rows of Scalars ---------------
@@ -44,7 +30,7 @@ def dense(m: GradedMatrix) -> list[list[Scalar]]:
     return [list(row) for row in m.rows]
 
 
-def ref_mul(x, y):
+def dense_mul(x, y):
     out = [[ZERO] * 3 for _ in range(3)]
     for i in range(3):
         for k in range(3):
@@ -53,32 +39,32 @@ def ref_mul(x, y):
     return out
 
 
-def ref_add(x, y):
+def dense_add(x, y):
     return [[x[i][k] + y[i][k] for k in range(3)] for i in range(3)]
 
 
-def ref_scale(x, s):
+def dense_scale(x, s):
     return [[e * s for e in row] for row in x]
 
 
-def ref_part(x, g):
+def dense_part(x, g):
     return [[x[i][k] if (k - i) % 3 == g else ZERO for k in range(3)] for i in range(3)]
 
 
-def ref_grade(x):
+def dense_grade(x):
     grades = {(k - i) % 3 for i in range(3) for k in range(3) if not x[i][k].is_zero()}
     if not grades:
         return 0
     return grades.pop() if len(grades) == 1 else "mixed"
 
 
-def ref_d(x):
+def dense_d(x):
     eta = dense(ETA)
     out = [[ZERO] * 3 for _ in range(3)]
     for g in range(3):
-        part = ref_part(x, g)
-        out = ref_add(out, ref_add(ref_mul(eta, part),
-                                   ref_scale(ref_mul(part, eta), -jpow(g))))
+        part = dense_part(x, g)
+        out = dense_add(out, dense_add(dense_mul(eta, part),
+                                   dense_scale(dense_mul(part, eta), -jpow(g))))
     return out
 
 
@@ -92,41 +78,41 @@ def same(m: GradedMatrix, x) -> bool:
 @PROPERTY
 @given(matrices, matrices)
 def test_product_matches_dense(b, c):
-    assert same(b * c, ref_mul(dense(b), dense(c)))
+    assert same(b * c, dense_mul(dense(b), dense(c)))
 
 
 @PROPERTY
 @given(matrices, matrices)
 def test_sum_and_difference_match_dense(b, c):
-    assert same(b + c, ref_add(dense(b), dense(c)))
-    assert same(b - c, ref_add(dense(b), ref_scale(dense(c), -ONE)))
-    assert same(-b, ref_scale(dense(b), -ONE))
+    assert same(b + c, dense_add(dense(b), dense(c)))
+    assert same(b - c, dense_add(dense(b), dense_scale(dense(c), -ONE)))
+    assert same(-b, dense_scale(dense(b), -ONE))
     assert (b - b).is_zero()
 
 
 @PROPERTY
 @given(matrices, entries)
 def test_scale_matches_dense(b, s):
-    assert same(b.scale(s), ref_scale(dense(b), s))
+    assert same(b.scale(s), dense_scale(dense(b), s))
 
 
 @PROPERTY
 @given(matrices)
 def test_differential_matches_dense(b):
-    assert same(eta_differential(b), ref_d(dense(b)))
+    assert same(eta_differential(b), dense_d(dense(b)))
 
 
 @PROPERTY
 @given(matrices)
 def test_grade_and_parts_match_dense(b):
     x = dense(b)
-    assert b.grade_of() == ref_grade(x)
+    assert b.grade_of() == dense_grade(x)
     parts = b.graded_parts()
     want = {g for g in range(3)
-            if any(not e.is_zero() for row in ref_part(x, g) for e in row)}
+            if any(not e.is_zero() for row in dense_part(x, g) for e in row)}
     assert set(parts) == want
     for g, part in parts.items():
-        assert same(part, ref_part(x, g))
+        assert same(part, dense_part(x, g))
         assert part.grade_of() == g
     assert b.is_zero() == (not parts)
 

@@ -12,12 +12,7 @@ import pytest
 from z3forms import J, J2, ONE, Scalar, ZERO, jpow, scalar
 from z3forms.scalar import _make
 
-
-def rand_scalar(rng: random.Random, span: int = 12) -> Scalar:
-    return Scalar(
-        Fraction(rng.randint(-span, span), rng.randint(1, 5)),
-        Fraction(rng.randint(-span, span), rng.randint(1, 5)),
-    )
+from shared import rand_scalar
 
 
 def test_cube_root_relations():

@@ -2,7 +2,7 @@
 
 The kernel stores ``(p + q*j) / r`` as three integers.  These tests check
 it against the field axioms, against conjugation as an involutive
-automorphism, and term by term against a reference model written here: a
+automorphism, and term by term against a reference model in ``shared``: a
 pair of ``Fraction`` components with the textbook formulas for
 ``a + b*j`` and ``j**2 = -1 - j``.  Example generation is derandomized so
 that every run checks the same cases.
@@ -18,55 +18,11 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
+from hypothesis import given  # noqa: E402
+from strategies import PROPERTY, nonzero, scalars  # noqa: E402
 
+from shared import ref, ref_add, ref_conjugate, ref_inverse, ref_mul, ref_norm, ref_sub  # noqa: E402
 from z3forms.scalar import J, J2, ONE, ZERO, Scalar, scalar  # noqa: E402
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
-
-rationals = st.one_of(
-    st.integers(-50, 50),
-    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
-    st.fractions(max_denominator=10**12),
-)
-scalars = st.builds(Scalar, rationals, rationals)
-nonzero = scalars.filter(lambda x: not x.is_zero())
-
-
-# -- reference model: (a, b) means a + b*j, with Fraction components ----------
-
-
-def ref(x: Scalar) -> tuple[Fraction, Fraction]:
-    return (x.a, x.b)
-
-
-def ref_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def ref_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def ref_mul(x, y):
-    a, b, c, d = x[0], x[1], y[0], y[1]
-    return (a * c - b * d, a * d + b * c - b * d)
-
-
-def ref_conjugate(x):
-    return (x[0] - x[1], -x[1])
-
-
-def ref_norm(x):
-    a, b = x
-    return a * a - a * b + b * b
-
-
-def ref_inverse(x):
-    n = ref_norm(x)
-    c = ref_conjugate(x)
-    return (c[0] / n, c[1] / n)
 
 
 # -- field axioms ----------------------------------------------------------------
