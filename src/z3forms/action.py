@@ -254,8 +254,8 @@ def lorenz_reduce(x: CoeffExpr, n: int) -> CoeffExpr:
     """Reduce an expression linear in the jets of ``A`` modulo the
     divergence constraint sum_i derive(A[i], i) == 0 and all its jets.
 
-    Eliminates against the constraint generators, each pivoting on its jet
-    of largest sort key; the result is a canonical representative (zero iff
+    Eliminates against the constraint generators, each pivoting on its
+    largest jet; the result is a canonical representative (zero iff
     x lies in the span).
     """
     if not x.commutative:
@@ -279,11 +279,11 @@ def lorenz_reduce(x: CoeffExpr, n: int) -> CoeffExpr:
     for size in range(max_order):
         for beta in combinations_with_replacement(range(1, n + 1), size):
             row = {(JetSymbol("A", i, beta + (i,)),): ONE for i in range(1, n + 1)}
-            rows[max(row, key=lambda w: w[0].sort_key())] = row
+            rows[max(row)] = row
     out: dict[Word, Scalar] = {}
     for consts, group in split.items():
         for w, c in _reduce(group, rows).items():
-            accumulate(out, tuple(sorted(consts + w, key=JetSymbol.sort_key)), c)
+            accumulate(out, tuple(sorted(consts + w)), c)
     return CoeffExpr(out, True)
 
 

@@ -36,6 +36,12 @@ CONSTANT_NAMES = frozenset({"mu"})
 #: Base names of the invertible pairs.
 _PAIR_NAMES = frozenset(n for pair in INVERSE_PAIRS for n in pair)
 
+#: The words the expression grammar reads as something other than a symbol,
+#: by what they read as.  No symbol takes one as its name.
+RESERVED_NAMES = {"dx": "generator", "ddx": "generator", "delx": "generator",
+                  "del2x": "generator", "th": "theta", "bth": "theta", "j": "scalar",
+                  "d": "differential", "delta": "conjugation", "mat": "matrix"}
+
 
 class JetSymbol(tuple):
     """A formal jet: base symbol, optional index, sorted derivative indices.
@@ -43,8 +49,10 @@ class JetSymbol(tuple):
     ``barred`` marks the conjugate partner of a symbol (produced by
     conjugation of expressions whose bases are not declared real).
 
-    A symbol is the tuple ``(name, index, derivs, barred)``, so the dict
-    lookups of the words it sits in hash and compare it in C.
+    A symbol is the tuple ``(name, index, derivs, barred)``, with index -1
+    for "no index", so the dict lookups of the words it sits in hash and
+    compare it in C, and tuple order is the canonical letter order: by
+    name, then index (none before 0), then derivatives, then bar.
     """
 
     __slots__ = ()
@@ -56,15 +64,24 @@ class JetSymbol(tuple):
         derivs: Iterable[int] = (),
         barred: bool = False,
     ) -> JetSymbol:
+        # An identifier of the grammar is an ASCII letter, then letters and digits.
+        if name in RESERVED_NAMES or not (name.isascii() and name.isalnum()
+                                          and name[0].isalpha()):
+            raise ValueError(f"{name!r} is not a symbol name: names are identifiers "
+                             "other than the words of the expression grammar")
+        if index is None:
+            index = -1
+        elif index < 0:
+            raise ValueError(f"symbol index {index} is negative")
         derivs = tuple(sorted(derivs))
-        if name in _PAIR_NAMES and index is not None:
+        if name in _PAIR_NAMES and index >= 0:
             raise ValueError(f"{name} takes no index: U and Uinv are one "
                              "invertible pair")
         if name == "Uinv" and derivs:
             raise ValueError(
                 "jets of Uinv never survive normalization; use derive() instead"
             )
-        if name == COORDINATE_BASE and index is not None and derivs:
+        if name == COORDINATE_BASE and index >= 0 and derivs:
             raise ValueError(
                 "coordinate symbols differentiate to constants; "
                 "jets of x[i] cannot be constructed"
@@ -75,25 +92,29 @@ class JetSymbol(tuple):
         return tuple.__new__(cls, (name, index, derivs, barred))
 
     name = property(itemgetter(0))
-    index = property(itemgetter(1))
     derivs = property(itemgetter(2))
     barred = property(itemgetter(3))
 
+    @property
+    def index(self) -> int | None:
+        return None if self[1] < 0 else self[1]
+
     def __getnewargs__(self) -> tuple:
-        return tuple(self)
+        return (self[0], self.index, self[2], self[3])
 
     def __repr__(self) -> str:
-        return (f"JetSymbol(name={self[0]!r}, index={self[1]!r}, "
-                f"derivs={self[2]!r}, barred={self[3]!r})")
+        name, index, derivs, barred = self
+        return (f"JetSymbol(name={name!r}, index={index if index >= 0 else None!r}, "
+                f"derivs={derivs!r}, barred={barred!r})")
 
     def with_deriv(self, m: int) -> JetSymbol:
-        return JetSymbol(self[0], self[1], self[2] + (m,), self[3])
+        return JetSymbol(self[0], self.index, self[2] + (m,), self[3])
 
     def bar_toggled(self) -> JetSymbol:
-        return JetSymbol(self.name, self.index, self.derivs, not self.barred)
+        return JetSymbol(self[0], self.index, self[2], not self[3])
 
     def is_coordinate(self) -> bool:
-        return self.name == COORDINATE_BASE and self.index is not None
+        return self[0] == COORDINATE_BASE and self[1] >= 0
 
     def conjugated(self, real: frozenset[str] | set[str] = frozenset()) -> JetSymbol:
         """Image under conjugation: unchanged if real, else the barred partner.
@@ -104,17 +125,12 @@ class JetSymbol(tuple):
             return self
         return self.bar_toggled()
 
-    def sort_key(self) -> tuple:
-        return (self.name, self.index if self.index is not None else -1,
-                self.derivs, self.barred)
-
     def __str__(self) -> str:
-        text = self.name
-        if self.index is not None:
-            text += f"[{self.index}]"
-        if self.derivs:
-            text += "_," + ",".join(str(i) for i in self.derivs)
-        if self.barred:
+        name, index, derivs, barred = self
+        text = name if index < 0 else f"{name}[{index}]"
+        if derivs:
+            text += "_," + ",".join(str(i) for i in derivs)
+        if barred:
             text = "~" + text
         return text
 
@@ -170,42 +186,20 @@ def _cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
 _SPECIAL_NAMES = _PAIR_NAMES | CONSTANT_NAMES
 
 
-class _SortKeys(dict):
-    """Symbol -> ``JetSymbol.sort_key()``.
-
-    ``key=SORT_KEYS.__getitem__`` sorts with C-level lookups.  A missing
-    key is computed on first use, and the table is emptied once it holds
-    4,096 entries.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, key: tuple) -> tuple:
-        if len(self) >= 4096:
-            self.clear()
-        value = self[key] = key.sort_key()
-        return value
-
-
-SORT_KEYS = _SortKeys()
-
-
 def normalize_word(word: Iterable[JetSymbol], commutative: bool) -> Word:
     word = tuple(word)
     for sym in word:
         if sym.name in _SPECIAL_NAMES:
             break
     else:
-        return tuple(sorted(word, key=SORT_KEYS.__getitem__)) if commutative else word
+        return tuple(sorted(word)) if commutative else word
     letters = list(word)
     if commutative:
         letters = _cancel_counted(letters)
-        letters.sort(key=SORT_KEYS.__getitem__)
+        letters.sort()
     else:
         # Constants are central: their canonical position is the front.
-        consts = sorted(
-            (s for s in letters if s.name in CONSTANT_NAMES), key=SORT_KEYS.__getitem__
-        )
+        consts = sorted(s for s in letters if s.name in CONSTANT_NAMES)
         rest = [s for s in letters if s.name not in CONSTANT_NAMES]
         letters = consts + _cancel_adjacent(rest)
     return tuple(letters)
@@ -218,7 +212,7 @@ def letter_derivative(sym: JetSymbol, m: int) -> list[tuple[Scalar, Word]]:
     name, index, derivs, barred = sym
     if name in CONSTANT_NAMES:
         return []
-    if name == COORDINATE_BASE and index is not None:
+    if name == COORDINATE_BASE and index >= 0:
         return [(ONE, ())] if index == m else []
     if name == "Uinv":
         uinv = JetSymbol("Uinv", barred=barred)
@@ -242,7 +236,7 @@ def substitute(word: Word, pos: int, repl: Word, clean: bool, commutative: bool)
     new = word[:pos] + repl + word[pos + 1 :]
     if not repl or not clean:
         return normalize_word(new, commutative)
-    return tuple(sorted(new, key=SORT_KEYS.__getitem__)) if commutative else new
+    return tuple(sorted(new)) if commutative else new
 
 
 class CoeffExpr(LinComb):

@@ -42,16 +42,13 @@ from fractions import Fraction
 from typing import NoReturn, Union
 
 from .action import ConjForm, conjugate_form
-from .coeffs import CoeffExpr, JetSymbol
+from .coeffs import RESERVED_NAMES, CoeffExpr, JetSymbol
 from .forms import Form, coefficient_form, ddx, dx
 from .grassmann import GrassElement
 from .matrices import GradedMatrix, eta_differential
 from .scalar import ZERO, Scalar, jpow, scalar
 
 Value = Union[Scalar, CoeffExpr, Form, GrassElement, GradedMatrix, ConjForm]
-
-_GENERATOR_KINDS = ("dx", "ddx", "delx", "del2x")
-_THETA_KINDS = ("th", "bth")
 
 
 class ParseError(ValueError):
@@ -304,9 +301,10 @@ class _Parser:
             return DeltaApply(self.closed_sum())
         if tok == "mat":
             return self.parse_matrix(at)
-        if tok in _GENERATOR_KINDS:
+        reserved = RESERVED_NAMES.get(tok)
+        if reserved == "generator":
             return Gen(tok, self.index())
-        if tok in _THETA_KINDS:
+        if reserved == "theta":
             return Theta(tok, self.index())
         index = self.index() if self.lexemes[self.pos] == "[" else None
         derivs: tuple[int, ...] = ()

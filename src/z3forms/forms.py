@@ -9,8 +9,8 @@ generators below total degree 3.
 
 A word is a tuple of letters.  A coefficient letter is the ``JetSymbol``
 itself; a generator is the plain tuple ``("dx", i)`` or ``("ddx", i)``.
-The two are told apart by type, never by name: a symbol named ``dx`` is
-a coefficient.
+The two are told apart by type, never by name (and no symbol may be
+named ``dx`` or ``ddx``: see ``coeffs.RESERVED_NAMES``).
 
 Normalization rules, applied to every stored word:
 

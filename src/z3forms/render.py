@@ -13,7 +13,6 @@ identically.  The output is valid input for the expression parser:
 
 from __future__ import annotations
 
-from .coeffs import SORT_KEYS
 from .forms import word_degree
 from .scalar import ONE, Scalar
 
@@ -64,8 +63,10 @@ def _render_terms(terms, key, letter_text) -> str:
     return _join_terms(parts)
 
 
-def _coeff_word_key(word) -> tuple:
-    return (len(word), tuple(map(SORT_KEYS.__getitem__, word)))
+def _word_key(word) -> tuple:
+    # Shorter words first, then the letters' own order: a jet's tuple is
+    # its canonical order, and so is a Grassmann letter's.
+    return (len(word), word)
 
 
 def _form_word_key(word) -> tuple:
@@ -76,7 +77,7 @@ def _form_word_key(word) -> tuple:
 
 
 def render_coeff(expr) -> str:
-    return _render_terms(expr.terms, _coeff_word_key, _jet_text)
+    return _render_terms(expr.terms, _word_key, _jet_text)
 
 
 def render_form(form) -> str:
@@ -84,7 +85,7 @@ def render_form(form) -> str:
 
 
 def render_grass(elem) -> str:
-    return _render_terms(elem.terms, lambda w: (len(w), w), _letter_text)
+    return _render_terms(elem.terms, _word_key, _letter_text)
 
 
 def render_conj_form(cf) -> str:

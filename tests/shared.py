@@ -40,6 +40,12 @@ U, UINV = JetSymbol("U"), JetSymbol("Uinv")
 BU, BUINV = JetSymbol("U", barred=True), JetSymbol("Uinv", barred=True)
 X1, X2 = JetSymbol("x", 1), JetSymbol("x", 2)
 
+
+def jet_key(sym: JetSymbol) -> tuple:
+    """The canonical letter order, from the public attributes: by name, then
+    index (none before 0), then derivative indices, then bar."""
+    return (sym.name, -1 if sym.index is None else sym.index, sym.derivs, sym.barred)
+
 #: The expression corpus of the round-trip, golden and acceptance tests.
 # Every syntax-tree node kind appears below: numeric literals, phase
 # literals, symbols (indexed, with derivative lists, barred), generators,

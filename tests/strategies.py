@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from shared import BU, BUINV, F, U, UINV, X1, X2
 from z3forms import CoeffExpr, EvalContext, Form, GradedMatrix, JetSymbol
 from z3forms.action import MU
+from z3forms.lincomb import accumulate
 from z3forms.scalar import ZERO, Scalar, scalar
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -76,6 +77,37 @@ systems = st.lists(vectors, min_size=1, max_size=4)
 four_scalars = st.lists(small_scalars, min_size=4, max_size=4)
 #: Pivot rules for ``_echelon``: the first or the last key of a residue.
 pivot_rules = st.sampled_from((lambda vec: next(iter(vec)), lambda vec: list(vec)[-1]))
+_NONZERO_SMALL = st.sampled_from([x for x in _SMALL if not x.is_zero()])
+
+
+@st.composite
+def outside_span(draw):
+    """1-4 independent columns and a target outside their span whose keys
+    are among the columns' keys.
+
+    Column i is nonzero at its pivot key and zero at the pivots of the
+    columns before it, so the columns are independent.  One column also
+    holds a key that no column pivots on; the target is a combination of
+    the columns plus a nonzero multiple of that key's unit vector, which
+    no vector of the span is.  The columns come in shuffled order.
+    """
+    keys = draw(st.permutations(KEYS))
+    k = draw(st.integers(1, 4))
+    pivots, free = keys[:k], keys[k:]
+    columns = []
+    for i, pivot in enumerate(pivots):
+        col = {pivot: draw(_NONZERO_SMALL)}
+        for key in draw(st.lists(st.sampled_from(pivots[i + 1:] + free), max_size=3)):
+            col[key] = draw(_NONZERO_SMALL)
+        columns.append(col)
+    extra = draw(st.sampled_from(free))
+    columns[draw(st.integers(0, k - 1))][extra] = draw(_NONZERO_SMALL)
+    target = {extra: draw(_NONZERO_SMALL)}
+    for col in columns:
+        c = draw(small_scalars)
+        for key, x in col.items():
+            accumulate(target, key, c * x)
+    return draw(st.permutations(columns)), target
 
 
 # -- coefficient words -------------------------------------------------------------

@@ -30,6 +30,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from strategies import (  # noqa: E402
+    CANCEL_LETTERS,
+    LETTERS,
     PROPERTY,
     coeff_items,
     coeff_words,
@@ -41,7 +43,7 @@ from strategies import (  # noqa: E402
 )
 
 import z3forms  # noqa: E402
-from shared import BU, BUINV, U, UINV, X1  # noqa: E402
+from shared import BU, BUINV, U, UINV, X1, jet_key  # noqa: E402
 from z3forms.coeffs import (  # noqa: E402
     CONSTANT_NAMES,
     INVERSE_PAIRS,
@@ -100,7 +102,7 @@ def test_normalize_word_is_idempotent(word, commutative):
 @given(plain_words, modes)
 def test_normalize_word_keeps_plain_words(word, commutative):
     got = normalize_word(word, commutative)
-    assert got == (tuple(sorted(word, key=JetSymbol.sort_key)) if commutative else word)
+    assert got == (tuple(sorted(word, key=jet_key)) if commutative else word)
 
 
 def test_normalize_word_still_rewrites_special_letters():
@@ -116,21 +118,25 @@ def test_jet_symbol_hash_survives_pickling_across_processes():
     child_seed = "2" if parent_seed == "1" else "1"
     src = str(Path(z3forms.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONHASHSEED=child_seed, PYTHONPATH=src)
+    # With an index, without one (stored as -1) and with index 0.
     code = (
         "import pickle, sys\n"
         "from z3forms.coeffs import JetSymbol\n"
-        "sym = JetSymbol('A', 2, (3, 1), barred=True)\n"
-        "sys.stdout.write(repr(hash('A')) + ' ' + pickle.dumps(sym).hex())\n"
+        "syms = [JetSymbol('A', 2, (3, 1), barred=True), JetSymbol('A'), JetSymbol('A', 0)]\n"
+        "sys.stdout.write(repr(hash('A')) + ' ' + pickle.dumps(syms).hex())\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     child_str_hash, payload = out.split()
     assert int(child_str_hash) != hash("A")  # the child hashes str differently
-    sym = pickle.loads(bytes.fromhex(payload))
-    fresh = JetSymbol("A", 2, (1, 3), barred=True)
-    assert sym == fresh and hash(sym) == hash(fresh)
-    assert {fresh: "found"}[sym] == "found"
-    assert pickle.loads(pickle.dumps(fresh)) == fresh
+    syms = pickle.loads(bytes.fromhex(payload))
+    fresh = [JetSymbol("A", 2, (1, 3), barred=True), JetSymbol("A"), JetSymbol("A", 0)]
+    assert [s.index for s in syms] == [2, None, 0]
+    for sym, want in zip(syms, fresh):
+        assert sym == want and hash(sym) == hash(want)
+        assert {want: "found"}[sym] == "found"
+        assert pickle.loads(pickle.dumps(want)) == want
+        assert want.__getnewargs__() == (want.name, want.index, want.derivs, want.barred)
 
 
 # -- derive against the generic path -------------------------------------------
@@ -171,7 +177,8 @@ def test_derived_jets_are_valid_symbols(xs, m, commutative):
     for word in CoeffExpr(xs, commutative).derive(m).terms:
         for letter in word:
             assert type(letter) is JetSymbol
-            assert letter == JetSymbol(*letter)
+            assert letter == JetSymbol(letter.name, letter.index, letter.derivs,
+                                       letter.barred)
 
 
 @pytest.mark.parametrize("commutative", [False, True])
@@ -228,9 +235,8 @@ def loop_cancel_counted(letters: list[JetSymbol]) -> list[JetSymbol]:
 @PROPERTY
 @given(letter_lists)
 def test_cancel_counted_matches_pairwise_loop(letters):
-    key = JetSymbol.sort_key
-    assert (sorted(_cancel_counted(list(letters)), key=key)
-            == sorted(loop_cancel_counted(list(letters)), key=key))
+    assert (sorted(_cancel_counted(list(letters)), key=jet_key)
+            == sorted(loop_cancel_counted(list(letters)), key=jet_key))
 
 
 def test_cancel_adjacent_nested_and_barred_pairs():
@@ -250,6 +256,9 @@ def test_jet_symbol_repr_is_dataclass_style():
         "JetSymbol(name='f', index=None, derivs=(), barred=False)")
     assert repr(JetSymbol("A", 2, (3, 1), barred=True)) == (
         "JetSymbol(name='A', index=2, derivs=(1, 3), barred=True)")
+    assert repr(JetSymbol("f", 0)) == (
+        "JetSymbol(name='f', index=0, derivs=(), barred=False)")
+    assert (str(JetSymbol("f")), str(JetSymbol("f", 0))) == ("f", "f[0]")
 
 
 def test_jet_symbol_fields_and_equal_routes():
@@ -266,6 +275,7 @@ def test_jet_symbol_fields_and_equal_routes():
         assert type(other) is JetSymbol
     assert len({sym, *routes}) == 1
     assert sym != JetSymbol("A", 2, (1, 3))
+    assert JetSymbol("A").index is None and JetSymbol("A", 0).index == 0
 
 
 def test_jet_symbol_is_immutable():
@@ -306,3 +316,14 @@ def test_jet_symbol_validation_errors():
             JetSymbol("mu", **kwargs)
         assert str(err.value) == ("mu is a real constant: it has no jets "
                                   "and no conjugate partner")
+    for index in (-1, -5):
+        with pytest.raises(ValueError) as err:
+            JetSymbol("f", index)
+        assert str(err.value) == f"symbol index {index} is negative"
+
+
+def test_tuple_order_of_the_strategy_letters_is_the_reference_order():
+    letters = LETTERS + CANCEL_LETTERS
+    for a in letters:
+        for b in letters:
+            assert (a < b) == (jet_key(a) < jet_key(b))

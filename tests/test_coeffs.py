@@ -7,11 +7,11 @@ import random
 import pytest
 
 from z3forms import CoeffExpr, JetSymbol
-from z3forms.coeffs import SORT_KEYS, normalize_word
+from z3forms.coeffs import normalize_word
 from z3forms.scalar import J
 from z3forms.verify import _rand_scalar
 
-from shared import rand_coeff
+from shared import jet_key, rand_coeff
 
 
 def sym_expr(name: str, commutative: bool = False, **kw) -> CoeffExpr:
@@ -144,24 +144,28 @@ def test_commutative_words_sorted():
     assert fng != gnf
 
 
-# -- the commutative sort-key table ----------------------------------------------
+# -- the canonical letter order ----------------------------------------------------
 
-#: The letters the coefficient and form strategies draw, plus the unindexed
-#: and indexed pair ``A`` / ``A[1]``, whose indices None and 1 do not compare.
+#: The letters the coefficient and form strategies draw, plus the indices
+#: where the stored "no index" -1 meets 0 and where 2 meets 10.
 KEYED = [JetSymbol("f"), JetSymbol("g"), JetSymbol("g", 1), JetSymbol("f", derivs=(1,)),
          JetSymbol("A"), JetSymbol("A", 1), JetSymbol("A", 2, (1, 2)),
          JetSymbol("f", barred=True), JetSymbol("A", 1, barred=True),
          JetSymbol("x", 1), JetSymbol("x", 2), JetSymbol("U"), JetSymbol("Uinv"),
          JetSymbol("U", barred=True), JetSymbol("Uinv", barred=True),
-         JetSymbol("U", derivs=(2,)), JetSymbol("mu")]
+         JetSymbol("U", derivs=(2,)), JetSymbol("mu"),
+         JetSymbol("A", 0), JetSymbol("A", 10), JetSymbol("f", 0)]
 
 
-def test_sort_key_table_matches_sort_key():
-    for sym in KEYED:
-        assert SORT_KEYS[sym] == sym.sort_key()
+def test_tuple_order_is_the_reference_order():
+    for a in KEYED:
+        for b in KEYED:
+            assert (a < b) == (jet_key(a) < jet_key(b))
+            assert (a == b) == (jet_key(a) == jet_key(b))
+    assert sorted(KEYED) == sorted(KEYED, key=jet_key)
 
 
-def test_commutative_normalize_word_sorts_by_sort_key():
+def test_commutative_normalize_word_sorts_by_reference_key():
     rng = random.Random(19)
     # Without both letters of a pair, nothing cancels, so the normal form
     # is the sorted word.
@@ -169,11 +173,4 @@ def test_commutative_normalize_word_sorts_by_sort_key():
     for _ in range(200):
         word = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
         rng.shuffle(word)
-        assert normalize_word(word, True) == tuple(sorted(word, key=JetSymbol.sort_key))
-
-
-def test_sort_key_table_stays_bounded():
-    for i in range(5000):
-        sym = JetSymbol("f", i)
-        assert SORT_KEYS[sym] == sym.sort_key()
-    assert 0 < len(SORT_KEYS) <= 4096
+        assert normalize_word(word, True) == tuple(sorted(word, key=jet_key))

@@ -15,7 +15,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given  # noqa: E402
-from strategies import PROPERTY, four_scalars, pivot_rules, systems, vectors  # noqa: E402
+from strategies import (  # noqa: E402
+    PROPERTY,
+    four_scalars,
+    outside_span,
+    pivot_rules,
+    systems,
+    vectors,
+)
 
 from shared import ref, ref_inverse, ref_mul, ref_sub  # noqa: E402
 from z3forms.action import _echelon, _reduce, solve_linear  # noqa: E402
@@ -76,8 +83,10 @@ def test_solve_rejects_dependent_columns(columns, coeffs, target):
 
 
 @PROPERTY
-@given(systems, vectors)
-def test_solve_rejects_target_outside_span(columns, target):
+@given(outside_span())
+def test_solve_rejects_target_outside_span(case):
+    columns, target = case
+    assert set(target) <= {k for col in columns for k in col}
     rank = ref_rank(columns)
     assume(rank == len(columns) and ref_rank(columns + [target]) > rank)
     assert solve_linear(columns, target) is None

@@ -10,6 +10,7 @@ import pytest
 
 from z3forms import (
     CoeffExpr,
+    EvalContext,
     Form,
     JetSymbol,
     coefficient_form,
@@ -17,9 +18,11 @@ from z3forms import (
     coordinate,
     ddx,
     dx,
+    evaluate_text,
     form_from_components,
     redistribute_t3,
 )
+from z3forms.coeffs import RESERVED_NAMES
 from z3forms.forms import normalize_form_word, word_degree
 from z3forms.scalar import J, J2, ONE, jpow
 from z3forms.verify import _rand_degree3, _rand_form
@@ -288,20 +291,26 @@ def test_word_degree_helper():
     assert word_degree(word) == 3
 
 
-def test_symbols_named_like_generators_stay_coefficients():
-    # A word's generators are its plain tuples; a JetSymbol is a coefficient
-    # letter whatever its name.
-    x = Form(2, [(ONE, (JetSymbol("dx"), ("dx", 1)))])
-    assert str(x) == "dx dx[1]"
+def test_symbols_cannot_take_grammar_words_as_names():
+    # The grammar reads each reserved word as something other than a
+    # symbol, and any non-identifier does not read back at all.
+    for name in [*RESERVED_NAMES, "f_1", "1f", "", "f g", "~f", "f\u00e9"]:
+        with pytest.raises(ValueError, match="is not a symbol name"):
+            JetSymbol(name)
+        with pytest.raises(ValueError, match="is not a symbol name"):
+            JetSymbol(name, 1)
+    # A word's generators are its plain tuples; a symbol whose name starts
+    # like a generator is a coefficient, and its text reads back.
+    x = Form(2, [(ONE, (JetSymbol("dy"), ("dx", 1)))])
+    assert str(x) == "dy dx[1]"
     assert x.grade_and_degree() == (1, 1)
-    assert str(x.d()) == "dx ddx[1] + (dx_,1) dx[1] dx[1] + (dx_,2) dx[2] dx[1]"
-    y = Form(2, [(ONE, (JetSymbol("ddx"), ("ddx", 1)))])
-    assert str(y) == "ddx ddx[1]"
+    assert str(x.d()) == "dy ddx[1] + (dy_,1) dx[1] dx[1] + (dy_,2) dx[2] dx[1]"
+    y = Form(2, [(ONE, (JetSymbol("ddx2"), ("ddx", 1)))])
+    assert str(y) == "ddx2 ddx[1]"
     assert y.grade_and_degree() == (2, 2)
-    assert str(y.d()) == "j * (ddx_,1) ddx[1] dx[1] + j * (ddx_,2) ddx[1] dx[2]"
-    z = Form(2, [(ONE, (JetSymbol("ddx", 1),))])
-    assert z.grade_and_degree() == (0, 0)
-    assert str(z.d()) == "(ddx[1]_,1) dx[1] + (ddx[1]_,2) dx[2]"
+    assert str(y.d()) == "j * (ddx2_,1) ddx[1] dx[1] + j * (ddx2_,2) ddx[1] dx[2]"
+    for v in (x, x.d(), y, y.d()):
+        assert evaluate_text(str(v), EvalContext(2)) == v
 
 
 def test_plain_tuples_other_than_generators_are_rejected():

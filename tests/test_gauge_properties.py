@@ -25,7 +25,12 @@ from strategies import (  # noqa: E402
     variation_inputs,
 )
 
-from shared import assert_same_table, two_pass_symmetrize, two_pass_variation  # noqa: E402
+from shared import (  # noqa: E402
+    assert_same_table,
+    jet_key,
+    two_pass_symmetrize,
+    two_pass_variation,
+)
 from z3forms import (  # noqa: E402
     CoeffExpr,
     JetSymbol,
@@ -66,7 +71,8 @@ def test_variational_derivative_matches_two_pass_reference(L, n):
 
 def echelon_lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
     """Reference: eliminate against an echelon that ``_echelon`` builds from
-    the constraint generators, each pivoting on its jet of largest sort key."""
+    the constraint generators, each pivoting on its largest jet by
+    ``jet_key``."""
     max_order = 0
     split: dict = {}
     for word, coeff in x:
@@ -81,11 +87,11 @@ def echelon_lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
         for size in range(max_order)
         for beta in combinations_with_replacement(range(1, n + 1), size)
     )
-    rows = _echelon(generators, lambda vec: max(vec, key=lambda w: w[0].sort_key()))
+    rows = _echelon(generators, lambda vec: max(vec, key=lambda w: jet_key(w[0])))
     out: dict = {}
     for consts, group in split.items():
         for w, c in _reduce(group, rows).items():
-            accumulate(out, tuple(sorted(consts + w, key=JetSymbol.sort_key)), c)
+            accumulate(out, tuple(sorted(consts + w, key=jet_key)), c)
     return CoeffExpr(out, True)
 
 
