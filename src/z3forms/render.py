@@ -32,13 +32,10 @@ def _scalar_prefix(s: Scalar) -> str:
 def _join_terms(parts: list[str]) -> str:
     if not parts:
         return "0"
-    out = parts[0]
+    out = [parts[0]]
     for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+        out += (" - ", p[1:]) if p.startswith("-") else (" + ", p)
+    return "".join(out)
 
 
 def _jet_text(sym) -> str:

@@ -20,7 +20,6 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Callable
 
@@ -58,7 +57,7 @@ from .gauge import (
 from .grassmann import GrassElement, theta_only_count
 from .matrices import ETA, GradedMatrix, eta_differential, graded_commutator
 from .render import render_matrix
-from .scalar import J, J2, ONE, Scalar, ZERO, jpow, scalar
+from .scalar import J, J2, ONE, Scalar, ZERO, _reduced, jpow, scalar
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,10 @@ class _Collector:
 
 
 def _rand_scalar(rng: random.Random, span: int = 6) -> Scalar:
-    return Scalar(
-        Fraction(rng.randint(-span, span), rng.randint(1, 4)),
-        Fraction(rng.randint(-span, span), rng.randint(1, 4)),
-    )
+    """a/da + (b/db) j, each numerator in -span..span and denominator in 1..4."""
+    a, da = rng.randint(-span, span), rng.randint(1, 4)
+    b, db = rng.randint(-span, span), rng.randint(1, 4)
+    return _reduced(a * db, b * da, da * db)
 
 
 def _rand_form(rng: random.Random, n: int, max_degree: int = 2) -> Form:
@@ -164,9 +163,11 @@ def _rand_form(rng: random.Random, n: int, max_degree: int = 2) -> Form:
     return Form(n, items)
 
 
+_RUN_LETTERS = (JetSymbol("f"), JetSymbol("g"))
+
+
 def _rand_word_run(rng: random.Random) -> tuple[JetSymbol, ...]:
-    names = ("f", "g")
-    return tuple(JetSymbol(rng.choice(names)) for _ in range(rng.randint(0, 1)))
+    return tuple(rng.choice(_RUN_LETTERS) for _ in range(rng.randint(0, 1)))
 
 
 def _rand_grass(rng: random.Random, N: int) -> GrassElement:

@@ -1,21 +1,39 @@
-"""Test data and the helpers of the test modules that need no hypothesis.
+"""Test data, the law kit, and the helpers of the test modules that need
+no hypothesis.
 
 The seeded tests draw their values from the generators of
-``z3forms.verify`` (``_rand_scalar``, ``_rand_form``, ``_rand_word_run``,
-``_rand_degree3``, ``_rand_grass``, ``_rand_matrix`` and
-``_rand_homogeneous_matrix``) wherever those draw the family a test needs;
-the generators here draw the families that verify's do not.  This module
-uses only the standard library and ``z3forms``; the hypothesis strategies
-live in ``strategies.py``.
+``z3forms.verify`` (``_rand_scalar``, ``_rand_form``, ``_rand_degree3``,
+``_rand_matrix`` and ``_rand_homogeneous_matrix``) wherever those draw
+the family a test needs; the generators here draw the families that
+verify's do not.  This module uses only the standard library and
+``z3forms``; the hypothesis strategies live in ``strategies.py``.
+
+The law kit states each law of a graded q-differential algebra once
+(Dubois-Violette, *Generalized homologies for d^N = 0 and graded
+q-differential algebras*, 1998), as a ``check_*`` function below of an
+``Algebra`` record (``MATRIX``, ``FORMS``, ``GRASSMANN``) and values of
+it; every law runs once on every model (``strategies.Model``, an
+algebra with its strategies) it applies to, in ``test_laws.py`` or in
+the named property test its ``RUN_BY_NAME`` table points to, and the
+seeded tests of each model call the same checks on verify's generators.
+A form's grade here is its degree, and degrees add as integers up to the
+top degree 3: past it a product is 0, and so is ``d`` of a degree-3
+form.  ``im d^k ⊆ ker d^(N-k)`` needs no check of its own, because
+``d^(N-k)(d^k x)`` is ``d^N x``.  Forms satisfy the Leibniz rule for
+left factors whose words end in a generator: ``Form.d`` differentiates a
+coefficient run as one block, so a bare-coefficient left factor leaves
+the exact residual that ``test_forms.py::test_product_rule_seam_residual``
+pins.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
+from typing import Callable, Mapping
 
 from z3forms import (
     CoeffExpr,
@@ -32,7 +50,8 @@ from z3forms import (
 )
 from z3forms.forms import redistribute_t3
 from z3forms.gauge import covariant_cyclic_combination, cyclic_symmetrize_raw
-from z3forms.scalar import ONE, ZERO, Scalar
+from z3forms.matrices import eta_differential
+from z3forms.scalar import J, ONE, ZERO, Scalar
 from z3forms.verify import _rand_scalar, _rand_word_run
 
 F, G = JetSymbol("f"), JetSymbol("g")
@@ -171,17 +190,6 @@ def rand_coeff(rng: random.Random, commutative: bool = False) -> CoeffExpr:
         JetSymbol(rng.choice(names), derivs=tuple(
             rng.randint(1, 3) for _ in range(rng.randint(0, 2))))
         for _ in range(rng.randint(1, 3)))) for _ in range(rng.randint(1, 3))], commutative)
-
-
-def rand_grass_word(rng: random.Random, N: int) -> GrassElement:
-    """One Grassmann word of length 0..3 over all 2N letters; nonzero unless
-    it is the unit."""
-    letters = [(kind, i) for kind in ("th", "bth") for i in range(1, N + 1)]
-    length = rng.randint(0, 3)
-    while True:
-        el = GrassElement.word(N, tuple(rng.choice(letters) for _ in range(length)))
-        if not el.is_zero() or length == 0:
-            return el
 
 
 def unit_matrix(a: int, b: int) -> GradedMatrix:
@@ -330,3 +338,76 @@ def two_pass_variation(L: CoeffExpr, n: int, base: str = "A") -> dict[int, Coeff
             acc = acc + term
         out[p] = acc
     return out
+
+
+# -- the law kit -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Algebra:
+    """A graded q-differential algebra as the laws see it.  The product is
+    ``*``.  Grades add modulo N, or, when the algebra has a ``top`` grade,
+    as integers, and a value past ``top`` is 0.  Without ``d`` only the
+    product laws apply; with it, ``witness`` has d^(N-1) != 0."""
+
+    name: str
+    grade: Callable
+    top: int | None = None
+    N: int = 3
+    q: Scalar = J
+    d: Callable | None = None
+    witness: object = None
+
+
+MATRIX = Algebra("matrix", GradedMatrix.grade_of, d=eta_differential, witness=unit_matrix(0, 1))
+FORMS = Algebra("forms", lambda x: x.grade_and_degree()[1], top=3, d=Form.d,
+                witness=Form(2, [(ONE, (F,))]))
+GRASSMANN = Algebra("grassmann", GrassElement.grade)
+
+
+def _iterate(step, k: int, x):
+    """``step`` applied ``k`` times to ``x``."""
+    for _ in range(k):
+        x = step(x)
+    return x
+
+
+def _check_grade(algebra: Algebra, value, g: int) -> None:
+    """``value`` has grade g, or is 0; past the top grade it is 0."""
+    if algebra.top is None:
+        g %= algebra.N
+    elif g > algebra.top:
+        assert value.is_zero(), f"a value of grade {g} > {algebra.top} is not 0"
+        return
+    assert value.is_zero() or algebra.grade(value) == g
+
+
+def check_d_raises_grade(algebra: Algebra, x) -> None:
+    """d sends a homogeneous x of grade g to grade g + 1, or to 0."""
+    _check_grade(algebra, algebra.d(x), algebra.grade(x) + 1)
+
+
+def check_d_nilpotent(algebra: Algebra, x) -> None:
+    """d^N x = 0."""
+    assert _iterate(algebra.d, algebra.N, x).is_zero()
+
+
+def check_d_order_is_N(algebra: Algebra) -> None:
+    """d^(N-1) is not 0 on the algebra's witness."""
+    assert not _iterate(algebra.d, algebra.N - 1, algebra.witness).is_zero()
+
+
+def check_grades_add(algebra: Algebra, x, y) -> None:
+    """The product of homogeneous x and y has grade |x| + |y|, or is 0."""
+    _check_grade(algebra, x * y, algebra.grade(x) + algebra.grade(y))
+
+
+def check_associative(algebra: Algebra, x, y, z) -> None:
+    """(xy)z = x(yz); the product is ``*`` in every algebra."""
+    assert (x * y) * z == x * (y * z)
+
+
+def check_twisted_leibniz(algebra: Algebra, x, y) -> None:
+    """d(xy) = d(x) y + q^|x| x d(y) for a homogeneous x."""
+    d, phase = algebra.d, _iterate(algebra.q.__mul__, algebra.grade(x), ONE)
+    assert d(x * y) == d(x) * y + (x * d(y)).scale(phase)

@@ -10,15 +10,18 @@ value of the family its tests describe.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from typing import Callable
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from shared import BU, BUINV, F, U, UINV, X1, X2
-from z3forms import CoeffExpr, EvalContext, Form, GradedMatrix, JetSymbol
+from shared import BU, BUINV, F, FORMS, GRASSMANN, MATRIX, U, UINV, X1, X2, Algebra
+from z3forms import CoeffExpr, EvalContext, Form, GradedMatrix, GrassElement, JetSymbol
 from z3forms.action import MU
+from z3forms.grassmann import word_grade
 from z3forms.lincomb import accumulate
 from z3forms.scalar import ZERO, Scalar, scalar
 
@@ -262,8 +265,62 @@ entries = st.sampled_from([ZERO] * len(POOL) + POOL)
 triples = st.tuples(entries, entries, entries)
 dense_rows = st.tuples(triples, triples, triples)
 matrices = st.builds(GradedMatrix, dense_rows)
-homogeneous = st.tuples(st.integers(0, 2), triples).map(
-    lambda g_entries: (g_entries[0], GradedMatrix.homogeneous(*g_entries)))
+homogeneous = st.builds(GradedMatrix.homogeneous, st.integers(0, 2), triples)
+
+
+# -- the ternary Grassmann algebra -------------------------------------------------
+
+#: Per generator count N and grade (None: any), the words of 0-4 letters
+#: th[i]/bth[i] of that grade, each length drawn equally often.
+_LETTER_WORDS = {N: _words([(k, i) for k in ("th", "bth") for i in range(1, N + 1)], range(5))
+                 for N in (1, 2, 3)}
+_GRASS_DRAWS = {(N, g): st.sampled_from([w for w in words if g is None or word_grade(w) == g])
+                for N, words in _LETTER_WORDS.items() for g in (None, 0, 1, 2)}
+
+
+def grass(draw, N: int, grades=(None,)) -> GrassElement:
+    """1-3 terms over the words of one grade drawn from ``grades``."""
+    words = _GRASS_DRAWS[N, draw(st.sampled_from(grades))]
+    return GrassElement(N, [(draw(form_scalars), draw(words))
+                            for _ in range(draw(st.integers(1, 3)))])
+
+
+# -- the models of the law kit in shared.py ------------------------------------------
+
+
+@dataclass(frozen=True)
+class Model:
+    """The strategies of one ``Algebra``.  A case draws ``context`` once,
+    then each value with a maker ``(draw, *context)``: ``element`` draws any
+    value, ``homogeneous`` one of a single grade, ``leibniz_left`` a left
+    factor of the Leibniz rule."""
+
+    algebra: Algebra
+    context: st.SearchStrategy
+    element: Callable
+    homogeneous: Callable
+    leibniz_left: Callable | None = None
+
+
+def _drawn(strategy):
+    return lambda draw: draw(strategy)
+
+
+MODELS = (
+    Model(MATRIX, st.just(()), _drawn(matrices), _drawn(homogeneous), _drawn(homogeneous)),
+    # d and the product are (multi)linear: homogeneous forms stand for all.
+    Model(FORMS, st.tuples(st.integers(1, 4), modes), _ANY_FORM, _ANY_FORM,
+          form(degrees=(1, 2, 3), tailed=True)),
+    Model(GRASSMANN, st.tuples(st.sampled_from((1, 2, 3))), grass,
+          lambda draw, N: grass(draw, N, (0, 1, 2))),
+)
+
+
+@st.composite
+def law_case(draw, model: Model, *roles: str):
+    """One value per role (a maker's name), all in one context of ``model``."""
+    context = draw(model.context)
+    return tuple(getattr(model, role)(draw, *context) for role in roles)
 
 
 # -- expression texts ------------------------------------------------------------

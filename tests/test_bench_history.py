@@ -1,4 +1,5 @@
-"""The timing-history runner writes records with the documented keys."""
+"""The bench scripts: the timing-history runner writes records with the
+documented keys, and the output sweep hashes what the CLI prints."""
 
 from __future__ import annotations
 
@@ -7,11 +8,20 @@ import sys
 from pathlib import Path
 
 import z3forms
+from z3forms.cli import main
 
-_PATH = Path(__file__).resolve().parent.parent / "bench" / "history.py"
-_SPEC = importlib.util.spec_from_file_location("bench_history", _PATH)
-history = sys.modules["bench_history"] = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(history)
+TESTS = Path(__file__).resolve().parent
+
+
+def _load(name: str):
+    path = TESTS.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+history, outputs = _load("history"), _load("outputs")
 
 
 def test_curvature_record_has_the_history_keys():
@@ -33,3 +43,11 @@ def test_forms_case_times_d_of_the_degree_two_part():
         a = z3forms.gauge.connection_form(z3forms.pure_gauge_connection(5, mode))
         want = (a.d() + a * a).d()
         assert case.run() == want and case.terms(case.run()) == len(want.terms)
+
+
+def test_output_sweep_hashes_the_golden_text_without_elapsed_lines():
+    assert len(outputs.calls()) == 2428
+    argv = ("curvature", "--dim", "2", "--gauge", "generic", "--json")
+    golden = (TESTS / "golden" / "curvature_dim2_generic.json").read_text()
+    assert outputs.digest(main, argv) == outputs.digest_of(0, golden, "", None)
+    assert outputs.digest_of(1, "", "elapsed: 0.1s\n", None) == outputs.digest_of(1, "", "", None)

@@ -1,5 +1,8 @@
 """Differential forms with two generator kinds: normalization rules, the
-third-order differential, worked expansions, and the product rule."""
+differential, the product's branches, and the seam residual of the
+product rule.  The laws of ``d`` and the product are the kit's checks in
+``shared.py``, run by ``test_laws.py``; the seeded tests here run them on
+verify's generators."""
 
 from __future__ import annotations
 
@@ -24,10 +27,19 @@ from z3forms import (
 )
 from z3forms.coeffs import RESERVED_NAMES
 from z3forms.forms import normalize_form_word, word_degree
-from z3forms.scalar import J, J2, ONE, jpow
+from z3forms.scalar import J, J2, ONE
 from z3forms.verify import _rand_degree3, _rand_form
 
-from shared import F, G, U, UINV, WORKED_SECOND_DIFFERENTIALS, rand_generator_tailed
+from shared import (
+    FORMS,
+    F,
+    G,
+    U,
+    UINV,
+    check_d_nilpotent,
+    check_twisted_leibniz,
+    rand_generator_tailed,
+)
 
 
 # -- normalization rules ---------------------------------------------------------
@@ -133,55 +145,21 @@ def test_differential_of_coefficient():
     assert got == want
 
 
-def test_second_differential_of_coefficient():
-    f, want = WORKED_SECOND_DIFFERENTIALS["f"]
-    assert f.d().d() == want
-
-
-def test_second_differential_of_coordinate_one_form():
-    w, want = WORKED_SECOND_DIFFERENTIALS["x[1] dx[2]"]
-    assert w.d().d() == want
-
-
-def test_second_differential_of_generic_one_form():
-    om, want = WORKED_SECOND_DIFFERENTIALS["w[k] dx[k]"]
-    assert om.d().d() == want
-
-
 def test_third_differential_vanishes_random():
     rng = random.Random(51)
     for n in (2, 3):
         for _ in range(80):
-            w = _rand_form(rng, n)
-            assert w.d().d().d().is_zero()
+            check_d_nilpotent(FORMS, _rand_form(rng, n))
 
 
 def test_image_containments():
+    # im d^k in ker d^(3-k): d^(3-k)(d^k w) is d^3 w, the kit's d^N law
     rng = random.Random(52)
-    n = 3
     for _ in range(60):
-        w = _rand_form(rng, n)
-        first = w.d()
-        assert first.d().d().is_zero()      # image of d sits inside ker d^2
-        second = w.d().d()
-        assert second.d().is_zero()         # image of d^2 sits inside ker d
-
-
-def test_second_differential_not_identically_zero():
-    n = 2
-    f = coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), n)
-    assert not f.d().d().is_zero()
+        check_d_nilpotent(FORMS, _rand_form(rng, 3))
 
 
 # -- products ---------------------------------------------------------------
-
-
-def test_product_associativity_random():
-    rng = random.Random(53)
-    n = 2
-    for _ in range(80):
-        a, b, c = (_rand_form(rng, n, 1) for _ in range(3))
-        assert ((a * b) * c - a * (b * c)).is_zero()
 
 
 def test_left_module_scalar_runs_merge():
@@ -200,12 +178,8 @@ def test_product_rule_generator_tailed():
     for _ in range(120):
         w = rand_generator_tailed(rng, n)
         phi = _rand_form(rng, n, 1)
-        grade = w.grade_and_degree()[0]
-        if grade == "mixed":
-            continue
-        lhs = (w * phi).d()
-        rhs = w.d() * phi + (w * phi.d()).scale(jpow(grade))
-        assert (lhs - rhs).is_zero()
+        if w.grade_and_degree()[1] != "mixed":
+            check_twisted_leibniz(FORMS, w, phi)
 
 
 def test_product_rule_seam_residual():
@@ -376,9 +350,3 @@ def test_redistribute_preserves_class():
                        + [(s, cw + (("ddx", i), ("dx", k)))
                           for (i, k), coeff in table.T21.items() for cw, s in coeff.terms.items()])
         assert rebuilt == w
-
-
-def test_normalize_form_entrypoint():
-    n = 3
-    w = Form(n, [(ONE, (("dx", 2), ("dx", 3), ("dx", 1)))])
-    assert w == (dx(1, n) * dx(2, n) * dx(3, n)).scale(J2)

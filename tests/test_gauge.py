@@ -9,20 +9,26 @@ including the exact cubic obstruction of the pure-gauge curvature.
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import product
 
+import pytest
+
 from z3forms import (
     CoeffExpr,
+    ComponentTable,
     Form,
     JetSymbol,
     abelian_connection,
+    coefficient_form,
     components,
     covariant_differential,
     curvature,
     curvature_components,
     cyclic_symmetrize,
     field_strength,
+    form_from_components,
     gauge_transform,
     generic_connection,
     matter_field,
@@ -43,35 +49,71 @@ from z3forms.verify import _rand_scalar
 from shared import assert_cyclic_combination_splits, assert_same_table, two_pass_symmetrize
 
 
+@functools.cache
+def gauge_verdicts(n: int, commutative: bool) -> dict[str, bool]:
+    """The verdict on each identity that ``verify gauge`` checks through
+    symmetrized tables, for the generic connection.  Each is computed on the
+    tables and as the equality of the forms they stand for (a transform
+    conjugates the form, Uinv * X * U), and the two must agree."""
+    conn = generic_connection(n, commutative)
+    comp = curvature_components(conn)
+    comp_t = curvature_components(gauge_transform(conn))
+    S = cyclic_symmetrize(comp.T3)
+    u, uinv = (coefficient_form(CoeffExpr.from_symbol(JetSymbol(name), commutative), n)
+               for name in ("U", "Uinv"))
+
+    def form_of(T3={}, T21={}):
+        return form_from_components(ComponentTable(T3, T21, n, commutative))
+
+    def raw(table):
+        return cyclic_symmetrize_raw(table, n, commutative)
+
+    F = field_strength(conn)
+    both = {"field strength": (tables_equal(comp.T21, F), form_of(T21=comp.T21) == form_of(T21=F))}
+    for name, table in (("cubic table", true_curvature_table(conn)),
+                        ("left-ordered table", reference_curvature_table(conn)),
+                        ("cyclic combination", covariant_cyclic_combination(conn))):
+        both[name] = (tables_equal(S, raw(table)), form_of(comp.T3) == form_of(table))
+    both["field strength transform"] = (
+        tables_equal(comp_t.T21, conjugate_table_by_u(comp.T21, commutative)),
+        form_of(T21=comp_t.T21) == uinv * form_of(T21=comp.T21) * u)
+    both["dx-sector transform"] = (
+        tables_equal(cyclic_symmetrize(comp_t.T3), raw(conjugate_table_by_u(S, commutative))),
+        form_of(comp_t.T3) == uinv * form_of(comp.T3) * u)
+    assert all(table == form for table, form in both.values()), both
+    return {name: table for name, (table, _) in both.items()}
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+def test_table_verdicts_are_form_equalities(n, commutative):
+    gauge_verdicts(n, commutative)
+
+
 def test_two_generator_sector_is_field_strength():
-    for n in (2, 3):
-        conn = generic_connection(n)
-        comp = curvature_components(conn)
-        assert tables_equal(comp.T21, field_strength(conn))
+    assert all(gauge_verdicts(n, False)["field strength"] for n in (2, 3))
 
 
 def test_three_generator_sector_matches_mixed_order_table():
-    for n in (2, 3):
-        conn = generic_connection(n)
-        comp = curvature_components(conn)
-        lhs = cyclic_symmetrize(comp.T3)
-        rhs = cyclic_symmetrize_raw(true_curvature_table(conn), n, False)
-        assert tables_equal(lhs, rhs)
+    assert all(gauge_verdicts(n, False)["cubic table"] for n in (2, 3))
 
 
 def test_left_ordered_table_commutative_only():
-    n = 2
-    conn = generic_connection(n)
-    comp = curvature_components(conn)
-    lhs = cyclic_symmetrize(comp.T3)
-    ref = cyclic_symmetrize_raw(reference_curvature_table(conn), n, False)
-    assert not tables_equal(lhs, ref)
-    cab = abelian_connection(n)
-    comp_ab = curvature_components(cab)
-    assert tables_equal(
-        cyclic_symmetrize(comp_ab.T3),
-        cyclic_symmetrize_raw(reference_curvature_table(cab), n, True),
-    )
+    assert [gauge_verdicts(2, c)["left-ordered table"] for c in (False, True)] == [False, True]
+
+
+def test_cyclic_covariant_combination_commutative_only():
+    assert [gauge_verdicts(2, c)["cyclic combination"] for c in (False, True)] == [False, True]
+
+
+def test_field_strength_sector_covariance():
+    assert gauge_verdicts(2, False)["field strength transform"]
+
+
+def test_three_sector_covariance_commutative_only():
+    assert not gauge_verdicts(2, False)["dx-sector transform"]
+    assert gauge_verdicts(2, True)["field strength transform"]
+    assert gauge_verdicts(2, True)["dx-sector transform"]
 
 
 def test_curvature_equals_its_defining_combination():
@@ -80,21 +122,6 @@ def test_curvature_equals_its_defining_combination():
     a = connection_form(conn)
     combo = a.d().d() + (a * a).d() + a * a.d() + a * a * a
     assert curvature(conn) == combo
-
-
-def test_cyclic_covariant_combination_commutative_only():
-    n = 2
-    conn = generic_connection(n)
-    comp = curvature_components(conn)
-    S = cyclic_symmetrize(comp.T3)
-    comb = cyclic_symmetrize_raw(covariant_cyclic_combination(conn), n, False)
-    assert not tables_equal(S, comb)
-    cab = abelian_connection(n)
-    comp_ab = curvature_components(cab)
-    assert tables_equal(
-        cyclic_symmetrize(comp_ab.T3),
-        cyclic_symmetrize_raw(covariant_cyclic_combination(cab), n, True),
-    )
 
 
 def test_cyclic_combination_numeric_split():
@@ -152,46 +179,6 @@ def test_pure_gauge_noncommutative_obstruction_pinned():
     assert not om.is_zero()
 
 
-def test_field_strength_sector_covariance():
-    n = 2
-    conn = generic_connection(n)
-    comp = curvature_components(conn)
-    transformed = gauge_transform(conn)
-    comp_t = curvature_components(transformed)
-    assert tables_equal(comp_t.T21, conjugate_table_by_u(comp.T21, False))
-
-
-def test_three_sector_covariance_commutative_only():
-    n = 2
-    conn = generic_connection(n)
-    comp = curvature_components(conn)
-    comp_t = curvature_components(gauge_transform(conn))
-    lhs = cyclic_symmetrize(comp_t.T3)
-    rhs = cyclic_symmetrize_raw(
-        conjugate_table_by_u(dict(cyclic_symmetrize(comp.T3)), False),
-        n,
-        False,
-    )
-    assert not tables_equal(lhs, rhs)
-    # commuting coefficients: both sectors transform by conjugation
-    cab = abelian_connection(n)
-    comp_ab = curvature_components(cab)
-    comp_ab_t = curvature_components(gauge_transform(cab))
-    assert tables_equal(
-        comp_ab_t.T21, conjugate_table_by_u(comp_ab.T21, True)
-    )
-    assert tables_equal(
-        cyclic_symmetrize(comp_ab_t.T3),
-        cyclic_symmetrize_raw(
-            conjugate_table_by_u(
-                dict(cyclic_symmetrize(comp_ab.T3)), True
-            ),
-            n,
-            True,
-        ),
-    )
-
-
 def test_covariant_differential_shape():
     n = 2
     conn = generic_connection(n)
@@ -233,3 +220,4 @@ def test_symmetrize_matches_two_pass_reference_on_curvature():
                 T3 = curvature_components(c).T3
                 assert_same_table(cyclic_symmetrize(T3),
                                   two_pass_symmetrize(T3, n, c.commutative))
+

@@ -1,4 +1,7 @@
-"""Graded 3x3 matrix calculus: grading patterns, d^3 = 0, Leibniz, Jacobi."""
+"""Graded 3x3 matrix calculus: grading patterns, d on graded parts, the
+Jacobi witness.  The laws of ``d`` and the product are the kit's checks
+in ``shared.py``, run by ``test_laws.py``; the seeded tests here run them
+on verify's generators."""
 
 from __future__ import annotations
 
@@ -12,10 +15,17 @@ from z3forms import (
     eta_differential,
     graded_commutator,
 )
-from z3forms.scalar import J, ONE, jpow
+from z3forms.scalar import J, ONE
 from z3forms.verify import _rand_homogeneous_matrix, _rand_matrix
 
-from shared import unit_matrix
+from shared import (
+    MATRIX,
+    check_d_nilpotent,
+    check_d_order_is_N,
+    check_grades_add,
+    check_twisted_leibniz,
+    unit_matrix,
+)
 
 
 def test_eta_is_grade_one_with_cube_identity():
@@ -39,12 +49,8 @@ def test_grade_multiplies_additively():
     rng = random.Random(41)
     for _ in range(100):
         gb, gc = rng.randint(0, 2), rng.randint(0, 2)
-        b = _rand_homogeneous_matrix(rng, gb)
-        c = _rand_homogeneous_matrix(rng, gc)
-        p = b * c
-        if p.is_zero():
-            continue
-        assert p.grade_of() == (gb + gc) % 3
+        check_grades_add(MATRIX, _rand_homogeneous_matrix(rng, gb),
+                         _rand_homogeneous_matrix(rng, gc))
 
 
 def test_differential_of_identity_vanishes():
@@ -54,23 +60,15 @@ def test_differential_of_identity_vanishes():
 def test_differential_cubes_to_zero_random():
     rng = random.Random(42)
     for _ in range(250):
-        b = _rand_matrix(rng)
-        d3 = eta_differential(eta_differential(eta_differential(b)))
-        assert d3.is_zero()
-        # second power need not vanish: grade-1 pattern witnesses d^2 != 0
-    witness = unit_matrix(0, 1)
-    assert not eta_differential(eta_differential(witness)).is_zero()
+        check_d_nilpotent(MATRIX, _rand_matrix(rng))
+    check_d_order_is_N(MATRIX)   # the grade-1 witness has d^2 != 0
 
 
 def test_graded_leibniz_random():
     rng = random.Random(43)
     for _ in range(250):
-        gb = rng.randint(0, 2)
-        b = _rand_homogeneous_matrix(rng, gb)
-        c = _rand_matrix(rng)
-        lhs = eta_differential(b * c)
-        rhs = eta_differential(b) * c + (b * eta_differential(c)).scale(jpow(gb))
-        assert (lhs - rhs).is_zero()
+        b = _rand_homogeneous_matrix(rng, rng.randint(0, 2))
+        check_twisted_leibniz(MATRIX, b, _rand_matrix(rng))
 
 
 def test_differential_linear_over_graded_parts():

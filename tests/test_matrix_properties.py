@@ -4,9 +4,11 @@
 and row.  These tests check it against a dense reference written here:
 3x3 rows of Scalars with the textbook row-by-column product, and the
 differential computed as ``ETA*B - j^g B*ETA`` on every graded part.
-They also check ``d^3 = 0`` and the graded Leibniz rule on generated
-matrices.  Example generation is derandomized so that every run checks
-the same cases.
+The laws of the calculus are the kit's checks in ``shared.py``, run by
+``test_laws.py``; on matrices, ``d^3 = 0``, the grading and the graded
+Leibniz rule run here instead, on generated matrices.
+Example generation is derandomized so that every run checks the same
+cases.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from strategies import PROPERTY, dense_rows, entries, homogeneous, matrices  # noqa: E402
 
+from shared import MATRIX, check_d_nilpotent, check_grades_add, check_twisted_leibniz  # noqa: E402
 from z3forms.matrices import ETA, GradedMatrix, eta_differential  # noqa: E402
 from z3forms.scalar import ONE, ZERO, Scalar, jpow  # noqa: E402
 
@@ -148,27 +151,22 @@ def test_constructors_match_dense():
     assert GradedMatrix.homogeneous(2, (ZERO, ZERO, ZERO)) == GradedMatrix.zero()
 
 
-# -- the calculus on generated matrices ------------------------------------------
+# -- the kit's laws on generated matrices ----------------------------------------
 
 
 @PROPERTY
 @given(matrices)
 def test_differential_cubes_to_zero(b):
-    assert eta_differential(eta_differential(eta_differential(b))).is_zero()
+    check_d_nilpotent(MATRIX, b)
 
 
 @PROPERTY
 @given(homogeneous, matrices)
-def test_graded_leibniz(gb_b, c):
-    gb, b = gb_b
-    lhs = eta_differential(b * c)
-    rhs = eta_differential(b) * c + (b * eta_differential(c)).scale(jpow(gb))
-    assert lhs == rhs
+def test_graded_leibniz(b, c):
+    check_twisted_leibniz(MATRIX, b, c)
 
 
 @PROPERTY
 @given(homogeneous, homogeneous)
-def test_grades_add_under_product(gb_b, gc_c):
-    (gb, b), (gc, c) = gb_b, gc_c
-    p = b * c
-    assert p.is_zero() or p.grade_of() == (gb + gc) % 3
+def test_grades_add_under_product(b, c):
+    check_grades_add(MATRIX, b, c)

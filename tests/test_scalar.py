@@ -11,6 +11,7 @@ import pytest
 
 from z3forms import J, J2, ONE, Scalar, ZERO, jpow, scalar
 from z3forms.scalar import _make
+from z3forms.verify import _rand_scalar
 
 from shared import rand_scalar
 
@@ -112,3 +113,15 @@ def test_exact_fraction_components():
     assert str(scalar(0, 1)) == "j"
     assert str(scalar(-1, -1)) == "j^2"
     assert str(ZERO) == "0"
+
+
+def test_verify_draws_scalars_as_the_fraction_pair_does():
+    # verify._rand_scalar against the two-Fraction construction: the same
+    # values, and the generator ends in the same state.
+    for seed in range(20):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for span in (3, 6) * 1000:
+            want = Scalar(Fraction(ref_rng.randint(-span, span), ref_rng.randint(1, 4)),
+                          Fraction(ref_rng.randint(-span, span), ref_rng.randint(1, 4)))
+            assert _rand_scalar(rng, span) == want
+        assert rng.getstate() == ref_rng.getstate()
