@@ -222,19 +222,18 @@ def letter_derivative(sym: JetSymbol, m: int) -> list[tuple[Scalar, Word]]:
                                              barred)),))]
 
 
-def substitute(word: Word, pos: int, repl: Word, clean: bool, commutative: bool) -> Word:
+def substitute(word: Word, pos: int, repl: Word, commutative: bool) -> Word:
     """``word`` with the letter at ``pos`` replaced by ``repl``, in normal form.
 
-    ``repl`` is a term of that letter's ``letter_derivative``.  A jet in
-    place of its letter, or ``Uinv U_,m Uinv`` in place of ``Uinv``,
-    creates no cancelling pair, so a ``clean`` word (canonical, up to
-    order in the commutative mode) is only re-sorted in the commutative
-    mode.  Dropping a coordinate can bring ``U`` next to ``Uinv``
-    (``U x[m] Uinv``), so that word is normalized, and so is a word that
-    is not clean.
+    ``word`` is canonical and ``repl`` is a term of that letter's
+    ``letter_derivative``.  A jet in place of its letter, or
+    ``Uinv U_,m Uinv`` in place of ``Uinv``, creates no cancelling pair, so
+    the word is only re-sorted in the commutative mode.  Dropping a
+    coordinate can bring ``U`` next to ``Uinv`` (``U x[m] Uinv``), so that
+    word is normalized.
     """
     new = word[:pos] + repl + word[pos + 1 :]
-    if not repl or not clean:
+    if not repl:
         return normalize_word(new, commutative)
     return tuple(sorted(new)) if commutative else new
 
@@ -297,7 +296,7 @@ class CoeffExpr(LinComb):
         for word, coeff in self.terms.items():
             for pos, sym in enumerate(word):
                 for sign, repl in letter_derivative(sym, m):
-                    accumulate(acc, substitute(word, pos, repl, True, commutative),
+                    accumulate(acc, substitute(word, pos, repl, commutative),
                                coeff if sign is ONE else -coeff)
         return self._like(acc)
 

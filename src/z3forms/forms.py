@@ -197,14 +197,18 @@ class Form(LinComb):
         """The graded differential (block-atomic on coefficient runs).
 
         One walk over each word visits every maximal coefficient run and
-        every generator once; words of degree 3 contribute nothing.  A run
-        term replaces one letter by a term of its ``letter_derivative``.
-        Below degree 3 a new term is canonical as built: the derived run is
+        every generator once; words of degree 3 contribute nothing.  Each
+        run is derived once per call, by ``_run_derivatives``.  Below
+        degree 3 a new term is canonical as built: the derived run is
         normalized as ``substitute`` says and stays maximal, and
-        ``dx -> ddx`` changes no run.  A new term of degree 3 is the word's
-        runs, concatenated, with one letter substituted (or, for ``ddx``,
-        normalized once per word), then the canonical generator word, whose
-        phase is computed once per run and q.
+        ``dx -> ddx`` changes no run.  A new term of degree 3 is one left
+        run (the runs before the derived run, it, the runs after it), then
+        the canonical generator word, whose phase is computed once per run
+        and q.  The left run needs normalizing where ``substitute`` would:
+        when the concatenated runs are not canonical (up to order when
+        commutative), or when a dropped coordinate shortened the run.  Its
+        normal form is injective in the derived run, so terms group as in
+        ``derive``.
         """
         acc: dict[FormWord, Scalar] = {}
         commutative = self.commutative
@@ -219,10 +223,9 @@ class Form(LinComb):
             if top:
                 gens, concat = _split(word)
                 joined = normalize_word(concat, commutative)
-                # Clean: canonical as concatenated, up to order when commutative.
                 clean = len(joined) == len(concat) if commutative else joined == concat
             size = len(word)
-            prefix_grade = pos = g = offset = 0  # grade, generators and run letters before pos
+            prefix_grade = pos = g = 0  # grade and generators before pos
             while pos < size:
                 letter = word[pos]
                 if type(letter) is tuple:
@@ -246,53 +249,47 @@ class Form(LinComb):
                 while end < size and type(word[end]) is not tuple:
                     end += 1
                 c = coeff * jpow(prefix_grade)
-                if not top:
-                    before, after = word[:pos], word[end:]
-                    for dxq, group in self._run_derivatives(word[pos:end], letters, derived):
-                        for run, cc in group:
-                            accumulate(acc, before + run + (dxq,) + after, c * cc)
+                run = word[pos:end]
+                if top:  # the letters of the concatenated runs around this run
+                    before, after = concat[: pos - g], concat[end - g :]
                 else:
-                    tables = [self._letter_derivatives(l, letters) for l in word[pos:end]]
-                    for q in range(1, self.n + 1):
-                        got = _canonical_generators(gens[:g] + (("dx", q),) + gens[g:])
-                        if got is None:
-                            continue
-                        # Two positions can give one run; the normal form of
-                        # the concatenation is injective in the derived run,
-                        # so this groups as ``derive`` does.
-                        group: dict[FormWord, Scalar] = {}
-                        for p, table in enumerate(tables, offset):
-                            for sign, repl in table[q - 1]:
-                                accumulate(group, substitute(concat, p, repl, clean,
-                                                             commutative), sign)
-                        if group:
-                            phase, canon = c * got[0], got[1]
-                            for run, cc in group.items():
-                                accumulate(acc, run + canon, phase * cc)
-                    offset += len(tables)
+                    before, after = word[:pos], word[end:]
+                for dxq, group in self._run_derivatives(run, letters, derived):
+                    if not top:
+                        for new, cc in group:
+                            accumulate(acc, before + new + (dxq,) + after, c * cc)
+                        continue
+                    got = _canonical_generators(gens[:g] + (dxq,) + gens[g:])
+                    if got is None:
+                        continue
+                    phase, canon = c * got[0], got[1]
+                    for new, cc in group:
+                        left = before + new + after
+                        if not clean or len(left) < len(concat):
+                            left = normalize_word(left, commutative)
+                        elif commutative:
+                            left = tuple(sorted(left))
+                        accumulate(acc, left + canon, phase * cc)
                 pos = end
         return self._like(acc)
-
-    def _letter_derivatives(self, letter: Letter, letters: dict) -> list[list]:
-        """The derivatives of one coefficient letter along q = 1..n, once per call."""
-        out = letters.get(letter)
-        if out is None:
-            out = letters[letter] = [letter_derivative(letter, q)
-                                     for q in range(1, self.n + 1)]
-        return out
 
     def _run_derivatives(self, run: FormWord, letters: dict,
                          derived: dict) -> list[DerivedGroup]:
         """[(dx[q], [(derive(run, q) word, coefficient)])] for every q whose
-        derivative is nonzero, in one walk over the run, once per call."""
+        derivative is nonzero, in one walk over the run, once per call.
+        ``letters`` holds each letter's derivatives along q = 1..n."""
         out = derived.get(run)
         if out is None:
             groups: list[dict[FormWord, Scalar]] = [{} for _ in range(self.n)]
             for pos, letter in enumerate(run):
-                for group, table in zip(groups, self._letter_derivatives(letter, letters)):
+                tables = letters.get(letter)
+                if tables is None:
+                    tables = letters[letter] = [letter_derivative(letter, q)
+                                                for q in range(1, self.n + 1)]
+                for group, table in zip(groups, tables):
                     for sign, repl in table:
-                        accumulate(group, substitute(run, pos, repl, True,
-                                                     self.commutative), sign)
+                        accumulate(group, substitute(run, pos, repl, self.commutative),
+                                   sign)
             out = derived[run] = [(("dx", q), list(group.items()))
                                   for q, group in enumerate(groups, 1) if group]
         return out
