@@ -1,14 +1,17 @@
 """In-process timings of z3forms cases, for the ``BENCH_<label>.json`` history.
 
-Each case runs once untimed, then ``REPEATS`` times under
-``time.perf_counter``; its record holds the median.  One record per case:
+Each case runs once untimed as a warm-up, once untimed with its calls
+counted, then ``REPEATS`` times under ``time.perf_counter``; its record
+holds the median.  One record per case:
 
-    {layer, case, n, median_s, repeats, terms, python, commit}
+    {layer, case, n, median_s, repeats, terms, calls, python, commit}
 
 ``terms`` is the number of terms in the value the case builds (``null``
 where a case builds no single value), so two records of one case can be
-checked to have done the same work.  ``commit`` is ``git describe
---always --dirty`` of the measured tree.
+checked to have done the same work.  ``calls`` maps each function of
+``COUNTED`` to the number of calls one run makes to it; unlike the
+timings, the counts do not move with the machine.  ``commit`` is ``git
+describe --always --dirty`` of the measured tree.
 
 Usage, from the repository root (stdlib only, nothing to install):
 
@@ -23,6 +26,7 @@ checkout.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import platform
@@ -37,6 +41,10 @@ from typing import Callable
 HERE = Path(__file__).resolve().parent.parent
 
 REPEATS = 7
+
+#: The functions whose calls a record counts: (module, class or None, name).
+COUNTED = (("lincomb", None, "accumulate"), ("coeffs", None, "normalize_word"),
+           ("forms", None, "normalize_form_word"), ("scalar", "Scalar", "__mul__"))
 
 
 @dataclass(frozen=True)
@@ -89,9 +97,51 @@ def cases(z) -> list[Case]:
     return out
 
 
+def count_calls(run: Callable[[], object]) -> dict[str, int]:
+    """The calls one ``run()`` makes to each function of ``COUNTED``.
+
+    As ``perfbench/layertrace.py`` does, a function is wrapped under every
+    z3forms module that binds it (a method, on its class), so calls from
+    any module are counted; the originals are restored afterwards.
+    """
+    counts: dict[str, int] = {}
+    restore: list[tuple[object, str, object]] = []
+
+    def counting(key: str, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in sorted(sys.modules.items())
+               if (name == "z3forms" or name.startswith("z3forms.")) and m is not None]
+    try:
+        for module, cls_name, name in COUNTED:
+            mod = importlib.import_module(f"z3forms.{module}")
+            key = f"{cls_name or module}.{name}"
+            counts[key] = 0
+            if cls_name is not None:
+                owners = [(getattr(mod, cls_name), name)]
+            else:
+                orig = getattr(mod, name)
+                owners = [(m, attr) for m in modules
+                          for attr, value in vars(m).items() if value is orig]
+            for owner, attr in owners:
+                restore.append((owner, attr, vars(owner)[attr]))
+                setattr(owner, attr, counting(key, vars(owner)[attr]))
+        run()
+    finally:
+        for owner, attr, orig in reversed(restore):
+            setattr(owner, attr, orig)
+    return counts
+
+
 def measure(case: Case, repeats: int, commit: str) -> dict:
-    """One record: the median of ``repeats`` timed runs after a warm-up run."""
+    """One record: the median of ``repeats`` timed runs after a warm-up run
+    and a counted run."""
     value = case.run()
+    calls = count_calls(case.run)
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -99,7 +149,7 @@ def measure(case: Case, repeats: int, commit: str) -> dict:
         times.append(time.perf_counter() - start)
     return {"layer": case.layer, "case": case.case, "n": case.n,
             "median_s": statistics.median(times), "repeats": repeats,
-            "terms": case.terms(value), "python": platform.python_version(),
+            "terms": case.terms(value), "calls": calls, "python": platform.python_version(),
             "commit": commit}
 
 

@@ -47,7 +47,8 @@ class JetSymbol(tuple):
     """A formal jet: base symbol, optional index, sorted derivative indices.
 
     ``barred`` marks the conjugate partner of a symbol (produced by
-    conjugation of expressions whose bases are not declared real).
+    conjugation of expressions whose bases are not declared real).  A
+    coordinate ``x[i]`` is real, so it drops a bar it is given.
 
     A symbol is the tuple ``(name, index, derivs, barred)``, with index -1
     for "no index", so the dict lookups of the words it sits in hash and
@@ -81,11 +82,11 @@ class JetSymbol(tuple):
             raise ValueError(
                 "jets of Uinv never survive normalization; use derive() instead"
             )
-        if name == COORDINATE_BASE and index >= 0 and derivs:
-            raise ValueError(
-                "coordinate symbols differentiate to constants; "
-                "jets of x[i] cannot be constructed"
-            )
+        if name == COORDINATE_BASE and index >= 0:
+            if derivs:
+                raise ValueError("coordinate symbols differentiate to constants; "
+                                 "jets of x[i] cannot be constructed")
+            barred = False  # a coordinate is real: ~x[i] is x[i]
         if name in CONSTANT_NAMES and (derivs or barred):
             raise ValueError(f"{name} is a real constant: it has no jets "
                              "and no conjugate partner")

@@ -488,6 +488,8 @@ def run_verify(suite: str, seed: int = 0, cases: int = 50) -> VerifyReport:
         raise ValueError(
             f"unknown suite {suite!r}; choose from all, " + ", ".join(SUITES)
         )
+    if cases < 0:
+        raise ValueError(f"case count {cases} is negative")
     names = SUITES if suite == "all" else (suite,)
     col = _Collector()
     start = time.perf_counter()

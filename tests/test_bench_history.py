@@ -1,5 +1,6 @@
 """The bench scripts: the timing-history runner writes records with the
-documented keys, and the output sweep hashes what the CLI prints."""
+documented keys and counts calls without leaving wrappers behind, and the
+output sweep hashes what the CLI prints."""
 
 from __future__ import annotations
 
@@ -29,10 +30,26 @@ def test_curvature_record_has_the_history_keys():
                if c.case == "curvature(generic_connection(n))" and c.n == 2]
     record = history.measure(case, repeats=1, commit="test")
     assert list(record) == ["layer", "case", "n", "median_s", "repeats", "terms",
-                            "python", "commit"]
+                            "calls", "python", "commit"]
     assert record["layer"] == "gauge" and record["repeats"] == 1
     assert record["terms"] == len(z3forms.curvature(z3forms.generic_connection(2)).terms)
     assert record["median_s"] > 0
+    assert list(record["calls"]) == ["lincomb.accumulate", "coeffs.normalize_word",
+                                     "forms.normalize_form_word", "Scalar.__mul__"]
+    assert all(count > 0 for count in record["calls"].values())
+
+
+def test_call_counts_repeat_and_leave_the_package_unwrapped():
+    def bindings() -> list:
+        return [(name, attr, value) for name, m in sorted(sys.modules.items())
+                if name.startswith("z3forms") for attr, value in vars(m).items()
+                if callable(value)] + [vars(z3forms.Scalar)["__mul__"]]
+
+    before = bindings()
+    run = lambda: z3forms.curvature(z3forms.pure_gauge_connection(3))  # noqa: E731
+    first = history.count_calls(run)
+    assert history.count_calls(run) == first
+    assert bindings() == before
 
 
 def test_forms_case_times_d_of_the_degree_two_part():

@@ -110,6 +110,8 @@ def test_conjugation_respects_real_names():
     # coordinates are always real
     x1 = sym_expr("x", index=1)
     assert x1.conjugate() == x1
+    assert JetSymbol("x", 1, barred=True) == JetSymbol("x", 1)
+    assert JetSymbol("x", barred=True).barred  # an unindexed x is no coordinate
 
 
 def test_constant_weight_behavior():

@@ -149,6 +149,24 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_rejects_a_negative_case_count(capsys):
+    assert main(["verify", "scalar", "--cases", "-3"]) == 2
+    assert "negative" in capsys.readouterr().err
+    assert main(["verify", "scalar", "--cases", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_barred_coordinate_is_the_coordinate(capsys):
+    for command in ("normalize", "d"):
+        assert main([command, "-e", "x[1] - ~x[1]", "--dim", "2"]) == 0
+        assert capsys.readouterr().out == "0\n"
+    # Only an indexed x is a coordinate; the constant mu has no partner.
+    assert main(["normalize", "-e", "~x", "--dim", "2"]) == 0
+    assert capsys.readouterr().out == "~x\n"
+    assert main(["normalize", "-e", "~mu", "--dim", "2"]) == 2
+    capsys.readouterr()
+
+
 def test_cli_zero_denominator_is_a_parse_error(capsys):
     for text in ("1/0", "f + 2/00 dx[1]"):
         assert main(["normalize", "-e", text]) == 2
@@ -261,3 +279,5 @@ def test_verify_failures_carry_notes():
 def test_verify_unknown_suite_raises():
     with pytest.raises(ValueError):
         run_verify("nonsense")
+    with pytest.raises(ValueError):
+        run_verify("scalar", cases=-1)

@@ -27,9 +27,10 @@ from strategies import FORM_SCALARS, PROPERTY, form, forms, mixed_form  # noqa: 
 from shared import FORMS, F, G, U, UINV, X1, X2  # noqa: E402
 from shared import check_d_nilpotent, check_twisted_leibniz  # noqa: E402
 from z3forms.coeffs import CoeffExpr, JetSymbol  # noqa: E402
-from z3forms.forms import Form, normalize_form_word, word_degree  # noqa: E402
+from z3forms.expr import EvalContext, evaluate_text, print_canonical  # noqa: E402
+from z3forms.forms import Form, coefficient_form, normalize_form_word, word_degree  # noqa: E402
 from z3forms.render import _letter_text, _render_terms  # noqa: E402
-from z3forms.scalar import ONE, jpow  # noqa: E402
+from z3forms.scalar import ONE, Scalar, jpow  # noqa: E402
 
 
 # -- reference: the generic path through Form(n, raw terms, mode) ----------------
@@ -160,6 +161,20 @@ def test_d_cubed_vanishes(case):
 @given(forms(form(degrees=(1, 2, 3), tailed=True), form()))
 def test_graded_leibniz_generator_tailed(pair):
     check_twisted_leibniz(FORMS, *pair)
+
+
+@PROPERTY
+@given(forms(form(degrees=(0,))))
+def test_degree_zero_text_reads_back_as_the_embedded_coefficient(case):
+    """The text of a degree-0 form reads back as the ``CoeffExpr`` it embeds,
+    or as a ``Scalar`` when it has only the empty word; ``coefficient_form``
+    of that value is the form again."""
+    (x,) = case
+    value = evaluate_text(print_canonical(x), EvalContext(x.n, x.commutative))
+    if isinstance(value, Scalar):
+        value = CoeffExpr.from_scalar(value, x.commutative)
+    assert type(value) is CoeffExpr and value.commutative == x.commutative
+    assert coefficient_form(value, x.n) == x
 
 
 # -- term order of the canonical text --------------------------------------------
