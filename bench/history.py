@@ -114,11 +114,12 @@ def count_calls(run: Callable[[], object]) -> dict[str, int]:
             return fn(*args, **kwargs)
         return wrapper
 
+    owning = {module: importlib.import_module(f"z3forms.{module}") for module, _, _ in COUNTED}
     modules = [m for name, m in sorted(sys.modules.items())
                if (name == "z3forms" or name.startswith("z3forms.")) and m is not None]
     try:
         for module, cls_name, name in COUNTED:
-            mod = importlib.import_module(f"z3forms.{module}")
+            mod = owning[module]
             key = f"{cls_name or module}.{name}"
             counts[key] = 0
             if cls_name is not None:

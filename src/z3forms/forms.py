@@ -250,10 +250,9 @@ class Form(LinComb):
                     end += 1
                 c = coeff * jpow(prefix_grade)
                 run = word[pos:end]
-                if top:  # the letters of the concatenated runs around this run
-                    before, after = concat[: pos - g], concat[end - g :]
-                else:
-                    before, after = word[:pos], word[end:]
+                # The letters around the run: of the word, or at degree 3 of its runs.
+                before, after = ((concat[: pos - g], concat[end - g :]) if top
+                                 else (word[:pos], word[end:]))
                 for dxq, group in self._run_derivatives(run, letters, derived):
                     if not top:
                         for new, cc in group:

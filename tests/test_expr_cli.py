@@ -279,5 +279,3 @@ def test_verify_failures_carry_notes():
 def test_verify_unknown_suite_raises():
     with pytest.raises(ValueError):
         run_verify("nonsense")
-    with pytest.raises(ValueError):
-        run_verify("scalar", cases=-1)
