@@ -10,7 +10,10 @@ holds the median.  One record per case:
 where a case builds no single value), so two records of one case can be
 checked to have done the same work.  ``calls`` maps each function of
 ``COUNTED`` to the number of calls one run makes to it; unlike the
-timings, the counts do not move with the machine.  ``commit`` is ``git
+timings, the counts do not move with the machine.  The start-up cases
+time a fresh ``sys.executable`` process that imports the measured
+z3forms (with the caller's environment), so their ``terms`` and
+``calls`` are ``null``.  ``commit`` is ``git
 describe --always --dirty`` of the measured tree.
 
 Usage, from the repository root (stdlib only, nothing to install):
@@ -29,6 +32,7 @@ import argparse
 import functools
 import importlib
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -54,6 +58,8 @@ class Case:
     n: int | None
     run: Callable[[], object]
     terms: Callable[[object], int | None]
+    #: False for a case that runs in a child process, whose calls are not seen.
+    in_process: bool = True
 
 
 def _form_terms(form) -> int:
@@ -94,7 +100,27 @@ def cases(z) -> list[Case]:
                         lambda n=n: z.field_equation_report(n), variation_terms))
     out.append(Case("verify", "run_verify('all', seed=0, cases=50)", None,
                     lambda: z.run_verify("all", 0, 50), lambda report: None))
+    big = z.curvature(z.generic_connection(12))
+    out.append(Case("render", "str(curvature(generic_connection(n)))", 12,
+                    lambda: str(big), lambda text: len(big.terms)))
+    out += [Case("startup", f"fresh process: {code}", None,
+                 functools.partial(_fresh_process, z, code), lambda _: None, False)
+            for code in STARTUP]
     return out
+
+
+#: The programs of the start-up cases, each run by ``python -c``.
+STARTUP = ("import z3forms", "import z3forms.verify", "import z3forms.cli",
+           "import sys; from z3forms.cli import main; "
+           "sys.exit(main(['normalize', '-e', 'x[1] dx[2]', '--dim', '2']))")
+
+
+def _fresh_process(z, code: str) -> None:
+    """Run ``code`` in a new interpreter that finds ``z`` first on its path."""
+    src = str(Path(z.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                   stdout=subprocess.DEVNULL, check=True)
 
 
 def count_calls(run: Callable[[], object]) -> dict[str, int]:
@@ -142,7 +168,7 @@ def measure(case: Case, repeats: int, commit: str) -> dict:
     """One record: the median of ``repeats`` timed runs after a warm-up run
     and a counted run."""
     value = case.run()
-    calls = count_calls(case.run)
+    calls = count_calls(case.run) if case.in_process else None
     times = []
     for _ in range(repeats):
         start = time.perf_counter()

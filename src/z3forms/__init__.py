@@ -21,130 +21,62 @@ root of unity:
   quadratic Lagrangian and its variation;
 * ``expr`` / ``cli`` — a small expression language, canonical printer, and
   the ``z3forms`` command-line tool with self-verification suites.
+
+A public name's module is imported when the name is first read, so a
+caller that builds a curvature never loads the parser or verify suites.
 """
 
-from .action import (
-    ConjForm,
-    FieldEquationReport,
-    LagrangianReport,
-    PairingConfig,
-    biharmonic_reference,
-    conjugate_form,
-    euler_lagrange_abelian,
-    field_equation_report,
-    lagrangian_density,
-    lagrangian_report,
-    lorenz_reduce,
-    reference_field_equation,
-    scalar_product,
-    variational_derivative,
-)
-from .coeffs import CoeffExpr, JetSymbol
-from .expr import (
-    EvalContext,
-    EvalError,
-    ParseError,
-    evaluate,
-    evaluate_text,
-    grade_description,
-    parse,
-    print_canonical,
-)
-from .forms import (
-    ComponentTable,
-    Form,
-    coefficient_form,
-    components,
-    coordinate,
-    ddx,
-    dx,
-    form_from_components,
-    redistribute_t3,
-)
-from .gauge import (
-    Connection,
-    abelian_connection,
-    covariant_derivative_F,
-    covariant_differential,
-    curvature,
-    curvature_components,
-    cyclic_symmetrize,
-    field_strength,
-    gauge_transform,
-    generic_connection,
-    matter_field,
-    pure_gauge_connection,
-)
-from .grassmann import GrassElement, bar_theta, enumerate_basis, theta, theta_only_count
-from .matrices import ETA, GradedMatrix, eta_differential, graded_commutator
-from .scalar import J, J2, ONE, Scalar, ZERO, jpow, scalar
-from .verify import VerifyFailure, VerifyReport, run_verify
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConjForm",
-    "FieldEquationReport",
-    "LagrangianReport",
-    "PairingConfig",
-    "biharmonic_reference",
-    "conjugate_form",
-    "euler_lagrange_abelian",
-    "field_equation_report",
-    "lagrangian_density",
-    "lagrangian_report",
-    "lorenz_reduce",
-    "reference_field_equation",
-    "scalar_product",
-    "variational_derivative",
-    "CoeffExpr",
-    "JetSymbol",
-    "EvalContext",
-    "EvalError",
-    "ParseError",
-    "evaluate",
-    "evaluate_text",
-    "grade_description",
-    "parse",
-    "print_canonical",
-    "ComponentTable",
-    "Form",
-    "coefficient_form",
-    "components",
-    "coordinate",
-    "ddx",
-    "dx",
-    "form_from_components",
-    "redistribute_t3",
-    "Connection",
-    "abelian_connection",
-    "covariant_derivative_F",
-    "covariant_differential",
-    "curvature",
-    "curvature_components",
-    "cyclic_symmetrize",
-    "field_strength",
-    "gauge_transform",
-    "generic_connection",
-    "matter_field",
-    "pure_gauge_connection",
-    "GrassElement",
-    "bar_theta",
-    "enumerate_basis",
-    "theta",
-    "theta_only_count",
-    "ETA",
-    "GradedMatrix",
-    "eta_differential",
-    "graded_commutator",
-    "J",
-    "J2",
-    "ONE",
-    "Scalar",
-    "ZERO",
-    "jpow",
-    "scalar",
-    "VerifyFailure",
-    "VerifyReport",
-    "run_verify",
-]
+#: Each module with the public names it defines, in the order of ``__all__``.
+_EXPORTS = {
+    "action": ("ConjForm", "FieldEquationReport", "LagrangianReport", "PairingConfig",
+               "biharmonic_reference", "conjugate_form", "euler_lagrange_abelian",
+               "field_equation_report", "lagrangian_density", "lagrangian_report",
+               "lorenz_reduce", "reference_field_equation", "scalar_product",
+               "variational_derivative"),
+    "coeffs": ("CoeffExpr", "JetSymbol"),
+    "expr": ("EvalContext", "EvalError", "ParseError", "evaluate", "evaluate_text",
+             "grade_description", "parse", "print_canonical"),
+    "forms": ("ComponentTable", "Form", "coefficient_form", "components", "coordinate",
+              "ddx", "dx", "form_from_components", "redistribute_t3"),
+    "gauge": ("Connection", "abelian_connection", "covariant_derivative_F",
+              "covariant_differential", "curvature", "curvature_components",
+              "cyclic_symmetrize", "field_strength", "gauge_transform",
+              "generic_connection", "matter_field", "pure_gauge_connection"),
+    "grassmann": ("GrassElement", "bar_theta", "enumerate_basis", "theta", "theta_only_count"),
+    "matrices": ("ETA", "GradedMatrix", "eta_differential", "graded_commutator"),
+    "scalar": ("J", "J2", "ONE", "Scalar", "ZERO", "jpow", "scalar"),
+    "verify": ("VerifyFailure", "VerifyReport", "run_verify"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+# Every module needs the scalars, so they are bound now; and the package
+# attribute ``scalar`` is then the function, not the module.
+_scalar = import_module(".scalar", __name__)
+globals().update({name: getattr(_scalar, name) for name in _EXPORTS["scalar"]})
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    # The result is not stored in the package: a tool that wraps a function
+    # in its defining module is seen here, and so is the original again
+    # once the tool puts it back.  Any other name is tried as a submodule;
+    # only a failure inside an existing module's own imports propagates.
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        return getattr(import_module(f".{module}", __name__), name)
+    try:
+        return import_module(f".{name}", __name__)
+    except ModuleNotFoundError as err:
+        if err.name is None or not f"{__name__}.{name}".startswith(err.name):
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -66,19 +66,20 @@ def _word_key(word) -> tuple:
     return (len(word), word)
 
 
-def _form_word_key(word) -> tuple:
-    # Coefficient letters before generators, then by repr text: ddx before
-    # dx, dx[10] before dx[2].
-    return (word_degree(word), len(word),
-            tuple((type(l) is tuple, repr(l)) for l in word))
-
-
 def render_coeff(expr) -> str:
     return _render_terms(expr.terms, _word_key, _jet_text)
 
 
 def render_form(form) -> str:
-    return _render_terms(form.terms, _form_word_key, _letter_text)
+    # By degree and length, then coefficient letters before generators and
+    # by repr text: ddx before dx, dx[10] before dx[2].  Each distinct
+    # letter's key and text are made once per call.
+    letters = {l for word in form.terms for l in word}
+    keys = {l: (type(l) is tuple, repr(l)) for l in letters}
+    texts = {l: _letter_text(l) for l in letters}
+    return _render_terms(form.terms, lambda word: (word_degree(word), len(word),
+                                                   tuple(map(keys.__getitem__, word))),
+                         texts.__getitem__)
 
 
 def render_grass(elem) -> str:

@@ -19,7 +19,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from shared import BU, BUINV, F, FORMS, GRASSMANN, MATRIX, U, UINV, X1, X2, Algebra
-from z3forms import CoeffExpr, EvalContext, Form, GradedMatrix, GrassElement, JetSymbol
+from z3forms import (CoeffExpr, EvalContext, Form, GradedMatrix, GrassElement, JetSymbol,
+                     conjugate_form)
 from z3forms.action import MU
 from z3forms.grassmann import word_grade
 from z3forms.lincomb import accumulate
@@ -442,3 +443,31 @@ PIECES = (
 )
 
 texts = st.lists(st.sampled_from(PIECES), max_size=12).map("".join)
+
+
+# -- library-built values ----------------------------------------------------------
+
+
+def _with_context(x):
+    return EvalContext(x.n, x.commutative), x
+
+
+@st.composite
+def _built_grass(draw):
+    # No unit word: its text does not read back (test_value_properties.py).
+    N = draw(st.sampled_from((1, 2, 3)))
+    x = grass(draw, N, (None, 0, 1, 2))
+    return EvalContext(N), GrassElement(N, [(c, w) for w, c in x.terms.items() if w])
+
+
+#: Per value kind, (context, value) with the value built through the library
+#: and the context its canonical text is read back in.
+BUILT = {
+    "scalar": st.builds(lambda x: (EvalContext(), x), scalars),
+    "coeff": st.builds(lambda items, mode: (EvalContext(4, mode), CoeffExpr(items, mode)),
+                       coeff_items, modes),
+    "form": forms(mixed_form).map(lambda xs: _with_context(xs[0])),
+    "grass": _built_grass(),
+    "matrix": st.builds(lambda x: (EvalContext(), x), matrices),
+    "conj": forms(form(degrees=(3,))).map(lambda xs: _with_context(conjugate_form(xs[0]))),
+}

@@ -1,12 +1,16 @@
 """The bench scripts: the timing-history runner writes records with the
-documented keys and counts calls without leaving wrappers behind, and the
-output sweep hashes what the CLI prints."""
+documented keys, counts calls without leaving wrappers behind and times
+start-up in fresh processes, and the output sweep hashes what the CLI
+prints."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import z3forms
 from z3forms.cli import main
@@ -60,6 +64,28 @@ def test_forms_case_times_d_of_the_degree_two_part():
         a = z3forms.gauge.connection_form(z3forms.pure_gauge_connection(5, mode))
         want = (a.d() + a * a).d()
         assert case.run() == want and case.terms(case.run()) == len(want.terms)
+
+
+def test_render_case_prints_the_n12_curvature():
+    (case,) = [c for c in history.cases(z3forms) if c.layer == "render"]
+    big = z3forms.curvature(z3forms.generic_connection(12))
+    text = case.run()
+    assert text == str(big) and case.terms(text) == len(big.terms)
+
+
+def test_startup_records_time_fresh_processes_without_counts():
+    got = [c for c in history.cases(z3forms) if c.layer == "startup"]
+    assert [c.case for c in got] == [f"fresh process: {code}" for code in history.STARTUP]
+    for case in got:
+        record = history.measure(case, repeats=1, commit="test")
+        assert record["terms"] is None and record["calls"] is None
+        assert record["median_s"] > 0
+    # The child imports the measured tree's z3forms, and a failing child raises.
+    here = str(Path(z3forms.__file__).resolve())
+    history._fresh_process(z3forms, "import sys, z3forms; from pathlib import Path; "
+                           f"sys.exit(str(Path(z3forms.__file__).resolve()) != {here!r})")
+    with pytest.raises(subprocess.CalledProcessError):
+        history._fresh_process(z3forms, "raise SystemExit(2)")
 
 
 def test_output_sweep_hashes_the_golden_text_without_elapsed_lines():

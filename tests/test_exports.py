@@ -3,16 +3,24 @@ module-level name is used somewhere and defined in one module only, no
 function only forwards to a method, every parameter is read, every name
 the benchmark's layer tracer wraps exists, and every value type but
 ``Scalar`` is built on the ``lincomb`` core.  The test modules define each
-helper name once and import no other test module."""
+helper name once and import no other test module.
+
+The package namespace is lazy: a name's module is imported when the name
+is first read.  The checks of what an import loads run in a fresh
+interpreter, since this one has loaded every module already."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import z3forms
 from z3forms.expr import _KINDS
@@ -29,6 +37,59 @@ def test_every_exported_name_resolves():
 
 def test_exported_names_are_unique():
     assert len(z3forms.__all__) == len(set(z3forms.__all__))
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The z3forms modules a fresh interpreter has loaded after ``code``."""
+    probe = code + "\nimport sys; print(*(m for m in sys.modules if m.split('.')[0] == 'z3forms'))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_importing_the_package_loads_only_the_scalars():
+    assert _loaded_after("import z3forms") == {"z3forms", "z3forms.scalar"}
+
+
+def test_verify_loads_no_expression_language():
+    assert {"z3forms.expr", "z3forms.cli"}.isdisjoint(_loaded_after("import z3forms.verify"))
+
+
+def test_a_curvature_loads_no_parser_verify_or_other_algebras():
+    loaded = _loaded_after("from z3forms import curvature_components, field_strength")
+    assert "z3forms.gauge" in loaded
+    assert loaded.isdisjoint({f"z3forms.{m}" for m in
+                              ("expr", "verify", "grassmann", "matrices", "cli")})
+
+
+def test_a_submodule_resolves_before_it_is_imported():
+    code = "import z3forms; assert z3forms.gauge.__name__ == 'z3forms.gauge'"
+    assert "z3forms.gauge" in _loaded_after(code)
+
+
+def test_every_exported_name_is_its_modules_object():
+    apart = [f"{module}.{name}" for module, names in z3forms._EXPORTS.items()
+             for name in names
+             if getattr(z3forms, name) is not getattr(importlib.import_module(
+                 f"z3forms.{module}"), name)]
+    assert apart == []
+    # The function, not the module of the same name.
+    assert z3forms.scalar is importlib.import_module("z3forms.scalar").scalar
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        z3forms.nope
+    assert not hasattr(z3forms, "nope") and not hasattr(z3forms, "gauge.nope")
+
+
+def test_dir_and_star_import_see_every_name():
+    assert set(z3forms.__all__) <= set(dir(z3forms))
+    namespace: dict = {}
+    exec("from z3forms import *", namespace)
+    assert [name for name in z3forms.__all__
+            if namespace.get(name) is not getattr(z3forms, name)] == []
 
 
 def _module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
@@ -142,21 +203,43 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def _layertrace():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return importlib.import_module("layertrace")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
 def test_every_traced_name_resolves():
     # ``perfbench/run.py --trace 1`` wraps these names; a missing one breaks
     # that run, so it fails here first.
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        from layertrace import TARGETS
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
     missing = []
-    for _, module, cls_name, names in TARGETS:
+    for _, module, cls_name, names in _layertrace().TARGETS:
         mod = importlib.import_module(f"z3forms.{module}")
         owner = vars(mod) if cls_name is None else vars(getattr(mod, cls_name))
         missing += [f"{module}.{cls_name or ''}.{name}" for name in names
                     if name not in owner]
     assert missing == []
+
+
+def test_traced_package_names_resolve_to_the_originals_after_uninstall():
+    # The package keeps no name it resolves (it binds only the scalars), so
+    # a name first read while the tracer is installed does not keep the
+    # wrapper after ``uninstall``.
+    assert [name for name in z3forms.__all__ if name in vars(z3forms)] \
+        == list(z3forms._EXPORTS["scalar"])
+    layertrace = _layertrace()
+    originals = {name: getattr(importlib.import_module(f"z3forms.{module}"), name)
+                 for _, module, cls_name, names in layertrace.TARGETS if cls_name is None
+                 for name in names if name in z3forms.__all__}
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        assert [name for name, f in originals.items() if getattr(z3forms, name) is f] == []
+    finally:
+        tracer.uninstall()
+    assert [name for name, f in originals.items() if getattr(z3forms, name) is not f] == []
 
 
 def test_every_word_value_is_a_lincomb():

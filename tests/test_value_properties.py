@@ -4,6 +4,11 @@
   evaluating it again gives the same text.  Expressions cover scalars, jet
   words, forms with ``dx``/``ddx``, ``th``/``bth`` words, ``mat[...]`` and
   ``delta(...)``, in both coefficient modes, for n = 1..4.
+* Library-built values read back: the canonical text of a ``Scalar``, a
+  ``CoeffExpr`` (both modes), a ``Form``, a ``GrassElement``, a
+  ``GradedMatrix`` or a ``ConjForm`` evaluates to an equal value, a
+  degree-0 form after the documented promotion.  The Grassmann unit does
+  not read back yet and is pinned as an expected failure.
 * Values are frozen: ``+``, ``-``, ``lincomb.total``, ``scale``, ``*`` and
   ``d`` leave their operands' terms and hashes unchanged, and equal values
   hash alike, for ``CoeffExpr``, ``Form``, ``GrassElement``, ``GradedMatrix``
@@ -20,12 +25,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
-from strategies import EXPRESSIONS, PROPERTY, expressions  # noqa: E402
+from strategies import BUILT, EXPRESSIONS, PROPERTY, expressions  # noqa: E402
 
 from z3forms import (  # noqa: E402
     CoeffExpr,
     ConjForm,
     EvalContext,
+    EvalError,
     Form,
     GradedMatrix,
     GrassElement,
@@ -35,7 +41,7 @@ from z3forms import (  # noqa: E402
     print_canonical,
 )
 from z3forms.lincomb import total  # noqa: E402
-from z3forms.scalar import Scalar  # noqa: E402
+from z3forms.scalar import ONE, Scalar  # noqa: E402
 
 
 # -- canonical text ------------------------------------------------------------
@@ -75,6 +81,37 @@ def evaluated(kind: str, case):
     values = [as_value(kind, evaluate_text(t, ctx), ctx) for t in texts]
     assert all(type(v) is VALUE_KINDS[kind] for v in values)
     return values
+
+
+# -- value, text, value ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(BUILT))
+def test_library_values_read_back(kind):
+    @settings(PROPERTY, max_examples=50)
+    @given(BUILT[kind])
+    def check(case):
+        ctx, x = case
+        back = evaluate_text(print_canonical(x), ctx)
+        if kind != "scalar":
+            back = as_value(kind, back, ctx)
+        if x.is_zero():  # every zero value prints as 0
+            assert back.is_zero()
+            return
+        assert back == x
+        if kind == "form":
+            assert back.grade_and_degree() == x.grade_and_degree()
+
+    check()
+
+
+@pytest.mark.xfail(strict=True, raises=EvalError,
+                   reason="the unit prints as a scalar term, and the expression language "
+                          "adds no scalar to a Grassmann value")
+def test_grassmann_unit_reads_back():
+    x = GrassElement(1, [(ONE, ()), (ONE, (("th", 1),))])
+    assert print_canonical(x) == "1 + th[1]"
+    assert evaluate_text(print_canonical(x), EvalContext(1)) == x
 
 
 def snapshot(*values) -> list[tuple[list, int]]:
