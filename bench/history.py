@@ -89,8 +89,10 @@ def cases(z) -> list[Case]:
                    z.action.lagrangian_sectors(z.abelian_connection(report.n)))
 
     def variation_terms(report) -> int:
-        variation = z.euler_lagrange_abelian(z.abelian_connection(report.n),
-                                             z.PairingConfig())
+        # Built from names whose signatures every measured tree shares.
+        L3, L21 = z.action.lagrangian_sectors(z.abelian_connection(report.n))
+        mu = z.CoeffExpr.from_symbol(z.action.MU, True)
+        variation = z.action.variational_derivative(L3 + mu * L21, report.n)
         return sum(len(x.terms) for x in variation.values())
 
     for n in range(3, 7):

@@ -32,11 +32,10 @@ __version__ = "0.1.0"
 
 #: Each module with the public names it defines, in the order of ``__all__``.
 _EXPORTS = {
-    "action": ("ConjForm", "FieldEquationReport", "LagrangianReport", "PairingConfig",
-               "biharmonic_reference", "conjugate_form", "euler_lagrange_abelian",
-               "field_equation_report", "lagrangian_density", "lagrangian_report",
-               "lorenz_reduce", "reference_field_equation", "scalar_product",
-               "variational_derivative"),
+    "action": ("ConjForm", "FieldEquationReport", "LagrangianReport", "biharmonic_reference",
+               "conjugate_form", "euler_lagrange_abelian", "field_equation_report",
+               "lagrangian_density", "lagrangian_report", "lorenz_reduce",
+               "reference_field_equation", "scalar_product", "variational_derivative"),
     "coeffs": ("CoeffExpr", "JetSymbol"),
     "expr": ("EvalContext", "EvalError", "ParseError", "evaluate", "evaluate_text",
              "grade_description", "parse", "print_canonical"),

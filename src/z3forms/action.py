@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from .coeffs import CONSTANT_NAMES, CoeffExpr, JetSymbol, Word
 from .forms import Form, components, word_degree
@@ -31,20 +31,14 @@ from .scalar import ONE, Scalar, ZERO, scalar
 MU = JetSymbol("mu")
 
 
-@dataclass(frozen=True)
-class PairingConfig:
-    """Weight of the ddx-dx sector."""
-
-    mu: Scalar | None = None  # None = the formal positive symbol mu
-
-    def __post_init__(self) -> None:
-        if self.mu is not None and self.mu.is_zero():
-            raise ValueError("the sector weight mu must be nonzero")
-
-    def mu_expr(self, commutative: bool) -> CoeffExpr:
-        if self.mu is None:
-            return CoeffExpr.from_symbol(MU, commutative)
-        return CoeffExpr.from_scalar(self.mu, commutative)
+def _weight(mu: Scalar | None, commutative: bool = True) -> CoeffExpr:
+    """The weight of the ddx-dx sector: a nonzero Scalar, or the formal
+    positive symbol mu for None."""
+    if mu is None:
+        return CoeffExpr.from_symbol(MU, commutative)
+    if mu.is_zero():
+        raise ValueError("the sector weight mu must be nonzero")
+    return CoeffExpr.from_scalar(mu, commutative)
 
 
 # -- conjugate-side forms ---------------------------------------------------------
@@ -95,14 +89,15 @@ def _contract(
                  (expr.conjugate(real) * b[key] for key, expr in a.items() if key in b))
 
 
-def scalar_product(w: Form, phi: Form, cfg: PairingConfig) -> CoeffExpr:
-    """Contract two degree-3 forms over their component tables."""
+def scalar_product(w: Form, phi: Form, mu: Scalar | None = None) -> CoeffExpr:
+    """Contract two degree-3 forms over their component tables; ``mu``
+    weighs the ddx-dx sector (None: the formal symbol mu)."""
     if w.n != phi.n or w.commutative != phi.commutative:
         raise ValueError("pairing requires forms of equal dimension and mode")
     cw, cp = components(w), components(phi)
     commutative = w.commutative
     return (_contract(cw.T3, cp.T3, frozenset(), commutative)
-            + cfg.mu_expr(commutative) * _contract(cw.T21, cp.T21, frozenset(), commutative))
+            + _weight(mu, commutative) * _contract(cw.T21, cp.T21, frozenset(), commutative))
 
 
 # -- quadratic action for commuting connections -------------------------------------
@@ -117,10 +112,12 @@ def _base_names(conn: Connection) -> frozenset[str]:
     return frozenset(names)
 
 
-def lagrangian_density(conn: Connection, cfg: PairingConfig) -> CoeffExpr:
-    """<Omega | Omega> for a commuting connection, as a jet polynomial."""
+def lagrangian_density(conn: Connection, mu: Scalar | None = None) -> CoeffExpr:
+    """<Omega | Omega> for a commuting connection, as a jet polynomial;
+    ``mu`` weighs the ddx-dx sector (None: the formal symbol mu)."""
+    weight = _weight(mu)
     L3, L21 = lagrangian_sectors(conn)
-    return L3 + cfg.mu_expr(True) * L21
+    return L3 + weight * L21
 
 
 def lagrangian_sectors(conn: Connection) -> tuple[CoeffExpr, CoeffExpr]:
@@ -169,14 +166,15 @@ def variational_derivative(
     return {p: total(zero, terms) for p, terms in groups.items()}
 
 
-def euler_lagrange_abelian(conn: Connection, cfg: PairingConfig) -> dict[int, CoeffExpr]:
-    """Variation of the derived quadratic Lagrangian, one expression per index."""
+def euler_lagrange_abelian(conn: Connection) -> dict[int, CoeffExpr]:
+    """Variation of the derived quadratic Lagrangian with the formal weight
+    mu, one expression per index."""
     base_names = _base_names(conn)
     if len(base_names) != 1:
         raise ValueError("the variation needs a connection built from a single "
                          "symbol family")
     (base,) = base_names
-    L = lagrangian_density(conn, cfg)
+    L = lagrangian_density(conn)
     return variational_derivative(L, conn.n, base)
 
 
@@ -303,7 +301,7 @@ def divergence_of_strength(conn: Connection) -> dict[int, CoeffExpr]:
     return {p: total(zero, (F[(m, p)].derive(m) for m in indices)) for p in indices}
 
 
-def reference_field_equation(conn: Connection, cfg: PairingConfig, k: int) -> CoeffExpr:
+def reference_field_equation(conn: Connection, k: int) -> CoeffExpr:
     """The quoted fourth-order field equation for a commuting connection.
 
     term1 - term2 + (3 mu / 4) term3 with
@@ -319,17 +317,17 @@ def reference_field_equation(conn: Connection, cfg: PairingConfig, k: int) -> Co
     term1 = total(zero, (F[(m, k)].derive(i).derive(i).derive(m) for m, i in pairs))
     term2 = total(zero, (F[(i, r)].derive(i).derive(r).derive(k) for i, r in pairs))
     term3 = total(zero, (F[(i, k)].derive(i) for i in indices))
-    mu34 = cfg.mu_expr(True).scale(scalar(Fraction(3, 4)))
+    mu34 = _weight(None).scale(scalar(Fraction(3, 4)))
     return term1 - term2 + mu34 * term3
 
 
-def biharmonic_reference(conn: Connection, cfg: PairingConfig, k: int) -> CoeffExpr:
+def biharmonic_reference(conn: Connection, k: int) -> CoeffExpr:
     """Lap(Lap(A_k)) + (3 mu / 4) Lap(A_k) for the same connection symbols."""
     ak = conn.coefficients[k]
     n = conn.n
     lap = _laplacian(ak, n)
     laplap = _laplacian(lap, n)
-    mu34 = cfg.mu_expr(True).scale(scalar(Fraction(3, 4)))
+    mu34 = _weight(None).scale(scalar(Fraction(3, 4)))
     return laplap + mu34 * lap
 
 
@@ -359,11 +357,7 @@ class LagrangianReport:
     c3: Scalar
     exact: bool
     shapes_degenerate: bool
-    reference: tuple[Fraction, Fraction, Fraction] = (
-        Fraction(4, 3),
-        Fraction(-2, 3),
-        Fraction(4),
-    )
+    reference: ClassVar[tuple[Fraction, ...]] = (Fraction(4, 3), Fraction(-2, 3), Fraction(4))
 
     @property
     def ratio(self) -> Scalar:
@@ -422,21 +416,16 @@ class FieldEquationReport:
     alpha: Scalar
     gamma: Scalar
     exact: bool
-    reference: tuple[Fraction, Fraction, Fraction] = (
-        Fraction(1),
-        Fraction(-1),
-        Fraction(3, 4),
-    )
+    reference: ClassVar[tuple[Fraction, ...]] = (Fraction(1), Fraction(-1), Fraction(3, 4))
 
 
 def field_equation_report(n: int) -> FieldEquationReport:
     """Fit the derived variation to alpha * Lap(G_p) + gamma * mu * G_p, exactly,
     with the formal weight mu."""
-    cfg = PairingConfig()
     conn = abelian_connection(n)
-    EL = euler_lagrange_abelian(conn, cfg)
+    EL = euler_lagrange_abelian(conn)
     G = divergence_of_strength(conn)
-    mu = cfg.mu_expr(True)
+    mu = _weight(None)
     shapes = {p: (_laplacian(G[p], n), mu * G[p]) for p in range(1, n + 1)}
     target: dict = {}
     col_a: dict = {}

@@ -28,7 +28,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .action import PairingConfig, lagrangian_density
+from .action import lagrangian_density
 from .expr import (
     DApply,
     EvalContext,
@@ -149,17 +149,13 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 
 
 def _make_connection(kind: str, n: int):
-    if kind == "abelian":
-        return abelian_connection(n)
-    if kind == "generic":
-        return generic_connection(n)
-    if kind.startswith("pure"):
-        _, _, name = kind.partition(":")
-        if name not in ("", "U"):
-            raise EvalError(
-                "the built-in invertible pair is named U; use --gauge pure:U"
-            )
-        return pure_gauge_connection(n)
+    # Built per call from the module's names, which perfbench/layertrace.py wraps.
+    builders = {"abelian": abelian_connection, "generic": generic_connection,
+                "pure:U": pure_gauge_connection}
+    if kind in builders:
+        return builders[kind](n)
+    if kind.startswith("pure:"):
+        raise EvalError("the built-in invertible pair is named U; use --gauge pure:U")
     raise EvalError(f"unknown gauge kind {kind!r}: use abelian, generic, pure:U")
 
 
@@ -186,17 +182,13 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
 
 def _cmd_lagrangian(args: argparse.Namespace) -> int:
-    if args.mu is None:
-        cfg = PairingConfig()
-    else:
+    mu = None
+    if args.mu is not None:
         try:
             mu = scalar(Fraction(args.mu))
         except (ValueError, ZeroDivisionError) as exc:
             raise EvalError(f"invalid --mu {args.mu!r}: {exc}") from exc
-        cfg = PairingConfig(mu=mu)
-    conn = abelian_connection(args.dim)
-    density = lagrangian_density(conn, cfg)
-    text = str(density)
+    text = str(lagrangian_density(abelian_connection(args.dim), mu))
     _emit(
         {"dim": args.dim, "mu": args.mu or "mu", "lagrangian": text},
         text,

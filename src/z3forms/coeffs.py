@@ -39,7 +39,7 @@ _PAIR_NAMES = frozenset(n for pair in INVERSE_PAIRS for n in pair)
 #: The words the expression grammar reads as something other than a symbol,
 #: by what they read as.  No symbol takes one as its name.
 RESERVED_NAMES = {"dx": "generator", "ddx": "generator", "delx": "generator",
-                  "del2x": "generator", "th": "theta", "bth": "theta", "j": "scalar",
+                  "del2x": "generator", "th": "generator", "bth": "generator", "j": "scalar",
                   "d": "differential", "delta": "conjugation", "mat": "matrix"}
 
 

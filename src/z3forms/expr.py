@@ -41,12 +41,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn, Union
 
-from .action import ConjForm, conjugate_form
+from .action import ConjForm
 from .coeffs import RESERVED_NAMES, CoeffExpr, JetSymbol
-from .forms import Form, coefficient_form, ddx, dx
+from .forms import Form, coefficient_form
 from .grassmann import GrassElement
 from .matrices import GradedMatrix, eta_differential
-from .scalar import ZERO, Scalar, jpow, scalar
+from .scalar import ONE, ZERO, Scalar, jpow, scalar
 
 Value = Union[Scalar, CoeffExpr, Form, GrassElement, GradedMatrix, ConjForm]
 
@@ -85,13 +85,7 @@ class Sym:
 
 @dataclass(frozen=True)
 class Gen:
-    kind: str  # dx | ddx | delx | del2x
-    index: int
-
-
-@dataclass(frozen=True)
-class Theta:
-    kind: str  # th | bth
+    kind: str  # dx | ddx | delx | del2x | th | bth
     index: int
 
 
@@ -126,7 +120,7 @@ class MatLit:
     rows: tuple[tuple["Node", ...], ...]
 
 
-Node = Union[Lit, JLit, Sym, Gen, Theta, DApply, DIdx, DeltaApply, Prod, Sum, MatLit]
+Node = Union[Lit, JLit, Sym, Gen, DApply, DIdx, DeltaApply, Prod, Sum, MatLit]
 
 
 # -- lexer -------------------------------------------------------------------------
@@ -301,11 +295,8 @@ class _Parser:
             return DeltaApply(self.closed_sum())
         if tok == "mat":
             return self.parse_matrix(at)
-        reserved = RESERVED_NAMES.get(tok)
-        if reserved == "generator":
+        if RESERVED_NAMES.get(tok) == "generator":
             return Gen(tok, self.index())
-        if reserved == "theta":
-            return Theta(tok, self.index())
         index = self.index() if self.lexemes[self.pos] == "[" else None
         derivs: tuple[int, ...] = ()
         if self.accept("_"):
@@ -408,37 +399,39 @@ def _combine(op: str, a: Value, b: Value, ctx: EvalContext) -> Value:
 
 
 def evaluate(node: Node, ctx: EvalContext) -> Value:
-    """Evaluate an AST to a normalized algebra value."""
+    """Evaluate an AST to a normalized algebra value.
+
+    The value constructors check their own inputs (symbol names, generator
+    and Grassmann indices, the degree under ``delta``); a ``ValueError``
+    they raise is re-raised here as an ``EvalError`` with the same text.
+    """
+    try:
+        return _evaluate(node, ctx)
+    except EvalError:
+        raise
+    except ValueError as exc:
+        raise EvalError(str(exc)) from exc
+
+
+def _evaluate(node: Node, ctx: EvalContext) -> Value:
     if isinstance(node, Lit):
         return scalar(node.value)
     if isinstance(node, JLit):
         return jpow(node.power)
     if isinstance(node, Sym):
-        try:
-            sym = JetSymbol(node.name, node.index, node.derivs, node.barred)
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
+        sym = JetSymbol(node.name, node.index, node.derivs, node.barred)
         return CoeffExpr.from_symbol(sym, ctx.commutative)
     if isinstance(node, Gen):
-        if not 1 <= node.index <= ctx.n:
+        letter = (node.kind, node.index)
+        if node.kind in ("th", "bth"):
+            return GrassElement.word(ctx.n, (letter,))
+        if node.kind in ("delx", "del2x"):
             raise EvalError(
-                f"generator index {node.index} out of range 1..{ctx.n}"
+                "conjugate-side generators are built with delta(...), not directly"
             )
-        if node.kind == "dx":
-            return dx(node.index, ctx.n, ctx.commutative)
-        if node.kind == "ddx":
-            return ddx(node.index, ctx.n, ctx.commutative)
-        raise EvalError(
-            "conjugate-side generators are built with delta(...), not directly"
-        )
-    if isinstance(node, Theta):
-        if not 1 <= node.index <= ctx.n:
-            raise EvalError(
-                f"Grassmann index {node.index} out of range 1..{ctx.n}"
-            )
-        return GrassElement.word(ctx.n, ((node.kind, node.index),))
+        return Form(ctx.n, [(ONE, (letter,))], ctx.commutative)
     if isinstance(node, DApply):
-        v = evaluate(node.arg, ctx)
+        v = _evaluate(node.arg, ctx)
         k = _kind(v)
         if k == "matrix":
             return eta_differential(v)
@@ -448,28 +441,24 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
             return v.scale(ZERO)  # d delta = 0
         return _to_form(v, ctx).d()
     if isinstance(node, DIdx):
-        v = evaluate(node.arg, ctx)
+        v = _evaluate(node.arg, ctx)
         if not 1 <= node.index <= ctx.n:
             raise EvalError(f"derivative index {node.index} out of range 1..{ctx.n}")
         return _to_coeff(v, ctx).derive(node.index)
     if isinstance(node, DeltaApply):
-        v = evaluate(node.arg, ctx)
+        v = _evaluate(node.arg, ctx)
         if _kind(v) == "conj":
             raise EvalError("delta applies to degree-3 forms, not conjugate values")
-        form = _to_form(v, ctx)
-        try:
-            return conjugate_form(form)
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
+        return ConjForm(_to_form(v, ctx))
     if isinstance(node, Prod):
-        acc = evaluate(node.factors[0], ctx)
+        acc = _evaluate(node.factors[0], ctx)
         for factor in node.factors[1:]:
-            acc = _combine("*", acc, evaluate(factor, ctx), ctx)
+            acc = _combine("*", acc, _evaluate(factor, ctx), ctx)
         return acc
     if isinstance(node, Sum):
         acc: Value | None = None
         for sign, term in node.terms:
-            v = evaluate(term, ctx)
+            v = _evaluate(term, ctx)
             if sign == "-":
                 v = _combine("*", scalar(-1), v, ctx)
             acc = v if acc is None else _combine("+", acc, v, ctx)
@@ -480,7 +469,7 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
         for row in node.rows:
             out_row = []
             for cell in row:
-                v = evaluate(cell, ctx)
+                v = _evaluate(cell, ctx)
                 if not isinstance(v, Scalar):
                     raise EvalError("matrix entries must be scalars")
                 out_row.append(v)

@@ -51,7 +51,7 @@ def _normalize_letters(word: GrassWord, N: int) -> tuple[Scalar, GrassWord] | No
         if kind not in ("th", "bth"):
             raise ValueError(f"unknown generator kind {kind!r}")
         if not 1 <= index <= N:
-            raise ValueError(f"generator index {index} out of range 1..{N}")
+            raise ValueError(f"Grassmann index {index} out of range 1..{N}")
     if len(word) >= 4:
         return None
     if len(word) <= 1:

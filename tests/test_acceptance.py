@@ -22,7 +22,6 @@ import pytest
 from z3forms import (
     CoeffExpr,
     EvalContext,
-    PairingConfig,
     abelian_connection,
     bar_theta,
     biharmonic_reference,
@@ -316,13 +315,10 @@ def test_criterion_10_lagrangian_constants(acceptance_notes):
 
 @pytest.mark.criterion(11, "field-equation reduction and variation shape")
 def test_criterion_11_field_equation(acceptance_notes):
-    cfg = PairingConfig()
     for n in (2, 3):
         conn = abelian_connection(n)
         for k in range(1, n + 1):
-            diff = reference_field_equation(conn, cfg, k) - biharmonic_reference(
-                conn, cfg, k
-            )
+            diff = reference_field_equation(conn, k) - biharmonic_reference(conn, k)
             assert lorenz_reduce(diff, n).is_zero()
     for n in (2, 3):
         rep = field_equation_report(n)

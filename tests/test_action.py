@@ -11,7 +11,6 @@ from z3forms import (
     CoeffExpr,
     Form,
     JetSymbol,
-    PairingConfig,
     abelian_connection,
     biharmonic_reference,
     coefficient_form,
@@ -42,43 +41,43 @@ from shared import two_pass_variation
 
 def test_pairing_normalizations():
     n = 3
-    cfg = PairingConfig()
     triple = dx(1, n) * dx(2, n) * dx(3, n)
-    assert scalar_product(triple, triple, cfg) == CoeffExpr.unit()
+    assert scalar_product(triple, triple) == CoeffExpr.unit()
     two = ddx(1, n) * dx(2, n)
     # formal weight: the two-generator sector carries the constant symbol
-    assert scalar_product(two, two, cfg) == CoeffExpr.from_symbol(MU)
+    assert scalar_product(two, two) == CoeffExpr.from_symbol(MU)
     # a fixed numeric weight replaces the symbol
-    assert scalar_product(two, two, PairingConfig(mu=scalar(1))) == CoeffExpr.unit()
+    assert scalar_product(two, two, scalar(1)) == CoeffExpr.unit()
     # the two sectors are orthogonal
-    assert scalar_product(triple, two, cfg).is_zero()
-    assert scalar_product(two, triple, cfg).is_zero()
+    assert scalar_product(triple, two).is_zero()
+    assert scalar_product(two, triple).is_zero()
 
 
 def test_pairing_rejects_zero_weight():
-    with pytest.raises(ValueError):
-        PairingConfig(mu=ZERO)
+    x = dx(1, 3) * dx(2, 3) * dx(3, 3)
+    with pytest.raises(ValueError, match="the sector weight mu must be nonzero"):
+        scalar_product(x, x, ZERO)
+    with pytest.raises(ValueError, match="the sector weight mu must be nonzero"):
+        lagrangian_density(abelian_connection(2), ZERO)
 
 
 def test_pairing_hermitian_random():
     rng = random.Random(71)
-    cfg = PairingConfig()
     n = 3
     for _ in range(60):
         w = _rand_degree3(rng, n)
         phi = _rand_degree3(rng, n)
-        lhs = scalar_product(w, phi, cfg)
-        rhs = scalar_product(phi, w, cfg).conjugate(frozenset())
+        lhs = scalar_product(w, phi)
+        rhs = scalar_product(phi, w).conjugate(frozenset())
         assert (lhs - rhs).is_zero()
 
 
 def test_pairing_positive_on_scalar_forms():
     rng = random.Random(72)
-    cfg = PairingConfig(mu=scalar(1))
     n = 3
     for _ in range(60):
         x = _rand_degree3(rng, n, runs=False)
-        v = scalar_product(x, x, cfg)
+        v = scalar_product(x, x, scalar(1))
         if x.is_zero():
             assert v.is_zero()
             continue
@@ -144,7 +143,7 @@ def test_real_names_are_part_of_a_conjugate_value():
 
 def test_lagrangian_requires_commuting_connection():
     with pytest.raises(ValueError):
-        lagrangian_density(generic_connection(2), PairingConfig())
+        lagrangian_density(generic_connection(2))
 
 
 def test_lagrangian_constants_and_ratio():
@@ -198,9 +197,8 @@ def test_lagrangian_mu_sector_is_strength_square():
 
 
 def test_variational_derivative_of_the_lagrangian_matches_reference():
-    cfg = PairingConfig()
     for n in (2, 3):
-        L = lagrangian_density(abelian_connection(n), cfg)
+        L = lagrangian_density(abelian_connection(n))
         assert variational_derivative(L, n) == two_pass_variation(L, n)
 
 
@@ -214,35 +212,30 @@ def test_variation_decomposition():
 
 def test_variation_equals_its_decomposition():
     n = 2
-    cfg = PairingConfig()
     conn = abelian_connection(n)
-    el = euler_lagrange_abelian(conn, cfg)
+    el = euler_lagrange_abelian(conn)
     G = divergence_of_strength(conn)
-    mu = cfg.mu_expr(True)
+    mu = CoeffExpr.from_symbol(MU, True)
     for p in range(1, n + 1):
         want = _laplacian(G[p], n).scale(scalar(2)) + (mu * G[p]).scale(scalar(-4))
         assert (el[p] - want).is_zero()
 
 
 def test_reference_equation_reduces_to_biharmonic():
-    cfg = PairingConfig()
     for n in (2, 3):
         conn = abelian_connection(n)
         for k in range(1, n + 1):
-            diff = reference_field_equation(conn, cfg, k) - biharmonic_reference(
-                conn, cfg, k
-            )
+            diff = reference_field_equation(conn, k) - biharmonic_reference(conn, k)
             assert lorenz_reduce(diff, n).is_zero()
             # neither side is in the constraint ideal by itself
-            assert not lorenz_reduce(biharmonic_reference(conn, cfg, k), n).is_zero()
+            assert not lorenz_reduce(biharmonic_reference(conn, k), n).is_zero()
 
 
 def test_variation_reduces_to_double_laplacian():
     n = 2
-    cfg = PairingConfig()
     conn = abelian_connection(n)
-    el = euler_lagrange_abelian(conn, cfg)
-    mu = cfg.mu_expr(True)
+    el = euler_lagrange_abelian(conn)
+    mu = CoeffExpr.from_symbol(MU, True)
     for p in range(1, n + 1):
         ap = conn.coefficients[p]
         lap = _laplacian(ap, n)
@@ -259,7 +252,7 @@ def test_lorenz_reduce_kills_constraint_jets():
     assert lorenz_reduce(div, n).is_zero()
     assert lorenz_reduce(div.derive(1).derive(2), n).is_zero()
     # mixing in a constant prefix still reduces
-    mu = PairingConfig().mu_expr(True)
+    mu = CoeffExpr.from_symbol(MU, True)
     assert lorenz_reduce(mu * div.derive(1), n).is_zero()
     # non-constraint jets pass through unchanged
     a1 = conn.coefficients[1]
@@ -276,7 +269,7 @@ def test_solve_linear_exact_and_inconsistent():
     assert solve_linear([f.terms, g.terms], h.terms) is None
 
 
-#: print_canonical(lorenz_reduce(biharmonic_reference(abelian_connection(n), cfg, k), n))
+#: print_canonical(lorenz_reduce(biharmonic_reference(abelian_connection(n), k), n))
 BIHARMONIC_RESIDUES = {
     (2, 1): "(A[1]_,1,1,1,1) + 2 * (A[1]_,1,1,2,2) + (A[1]_,2,2,2,2)"
             " + 3/4 * (A[1]_,1,1) mu + 3/4 * (A[1]_,2,2) mu",
@@ -305,7 +298,6 @@ def test_lorenz_reduce_residue_of_nonzero_inputs():
     assert lorenz_reduce(a(2, 2), 2) == -a(1, 1)
     assert lorenz_reduce(a(1, 1), 2) == a(1, 1)
     assert lorenz_reduce(a(1, 1, 2), 2) == a(1, 1, 2)
-    cfg = PairingConfig()
     for (n, k), text in BIHARMONIC_RESIDUES.items():
-        residue = lorenz_reduce(biharmonic_reference(abelian_connection(n), cfg, k), n)
+        residue = lorenz_reduce(biharmonic_reference(abelian_connection(n), k), n)
         assert print_canonical(residue) == text

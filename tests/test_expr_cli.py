@@ -8,9 +8,16 @@ import json
 import pytest
 
 from z3forms import (
+    ONE,
+    CoeffExpr,
+    ConjForm,
     EvalContext,
     EvalError,
+    Form,
+    GrassElement,
+    JetSymbol,
     ParseError,
+    coefficient_form,
     evaluate_text,
     print_canonical,
     run_verify,
@@ -81,6 +88,40 @@ def test_evaluation_errors():
         evaluate_text("dx[5]", ctx)  # index out of range for the dimension
 
 
+def _constructor_error(build) -> str:
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("text, build", [
+    ("dx[5]", lambda: Form(4, [(ONE, (("dx", 5),))])),
+    ("ddx[0]", lambda: Form(4, [(ONE, (("ddx", 0),))])),
+    ("th[5]", lambda: GrassElement.word(4, [("th", 5)])),
+    ("U[1]", lambda: JetSymbol("U", 1)),
+    ("~mu", lambda: JetSymbol("mu", barred=True)),
+    ("delta(f)", lambda: ConjForm(coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), 4))),
+], ids=["dx", "ddx", "th", "U", "mu", "delta"])
+def test_evaluation_reports_the_constructors_error(text, build):
+    # The value constructors own these checks; the evaluator only turns
+    # their ValueError into an EvalError with the same text.
+    message = _constructor_error(build)
+    with pytest.raises(EvalError) as info:
+        evaluate_text(text, EvalContext(n=4))
+    assert str(info.value) == message
+
+
+def test_grassmann_index_error_names_the_grassmann_algebra():
+    with pytest.raises(EvalError, match=r"^Grassmann index 5 out of range 1\.\.4$"):
+        evaluate_text("th[5]", EvalContext(n=4))
+
+
+def test_conjugate_side_generator_is_rejected_before_its_index():
+    # delx[9] has two faults; the kind is checked first, before any constructor.
+    with pytest.raises(EvalError, match=r"built with delta\(\.\.\.\), not directly"):
+        evaluate_text("delx[9]", EvalContext(n=4))
+
+
 def test_dimension_context_enforced():
     assert evaluate_text("dx[3]", EvalContext(n=3)) is not None
     with pytest.raises(ValueError):
@@ -127,6 +168,18 @@ def test_cli_curvature(capsys):
     }
     assert payload["dim"] == 2
     assert main(["curvature", "--dim", "2", "--gauge", "bogus"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("gauge", ["pureX", "purely:U", "pure", "pure:"])
+def test_cli_curvature_takes_only_the_documented_gauge_kinds(capsys, gauge):
+    assert main(["curvature", "--dim", "2", "--gauge", gauge]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if gauge.startswith("pure:"):
+        assert "the built-in invertible pair is named U" in captured.err
+    else:
+        assert f"unknown gauge kind {gauge!r}" in captured.err
 
 
 def test_cli_lagrangian(capsys):

@@ -34,7 +34,6 @@ from shared import (  # noqa: E402
 from z3forms import (  # noqa: E402
     CoeffExpr,
     JetSymbol,
-    PairingConfig,
     cyclic_symmetrize,
     lorenz_reduce,
     scalar_product,
@@ -58,9 +57,9 @@ def test_symmetrize_matches_two_pass_reference_generated(case):
 @given(forms(form(degrees=(3,)), form(degrees=(3,))))
 def test_pairing_hermitian_generated(pair):
     w, phi = pair
-    for cfg in (PairingConfig(), PairingConfig(mu=scalar(2))):
-        lhs = scalar_product(w, phi, cfg)
-        assert lhs == scalar_product(phi, w, cfg).conjugate(frozenset())
+    for mu in (None, scalar(2)):
+        lhs = scalar_product(w, phi, mu)
+        assert lhs == scalar_product(phi, w, mu).conjugate(frozenset())
 
 
 @PROPERTY
