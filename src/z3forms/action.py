@@ -278,11 +278,8 @@ def lorenz_reduce(x: CoeffExpr, n: int) -> CoeffExpr:
         for beta in combinations_with_replacement(range(1, n + 1), size):
             row = {(JetSymbol("A", i, beta + (i,)),): ONE for i in range(1, n + 1)}
             rows[max(row)] = row
-    out: dict[Word, Scalar] = {}
-    for consts, group in split.items():
-        for w, c in _reduce(group, rows).items():
-            accumulate(out, tuple(sorted(consts + w)), c)
-    return CoeffExpr(out, True)
+    return CoeffExpr([(c, consts + w) for consts, group in split.items()
+                      for w, c in _reduce(group, rows).items()], True)
 
 
 # -- reference shapes for the abelian field equation -----------------------------------

@@ -33,7 +33,6 @@ from .expr import (
     DApply,
     EvalContext,
     EvalError,
-    ParseError,
     evaluate,
     grade_description,
     parse as parse_expr,
@@ -190,7 +189,7 @@ def _cmd_lagrangian(args: argparse.Namespace) -> int:
             raise EvalError(f"invalid --mu {args.mu!r}: {exc}") from exc
     text = str(lagrangian_density(abelian_connection(args.dim), mu))
     _emit(
-        {"dim": args.dim, "mu": args.mu or "mu", "lagrangian": text},
+        {"dim": args.dim, "mu": "mu" if mu is None else str(mu), "lagrangian": text},
         text,
         args.json,
     )
@@ -223,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(default_dim).parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, EvalError, ValueError) as exc:
+    except ValueError as exc:
         print(f"z3forms: {exc}", file=sys.stderr)
         return 2
 

@@ -17,14 +17,11 @@ coefficients from Q(j).  Supports:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from operator import itemgetter
 
 from .lincomb import LinComb, accumulate
 from .scalar import ONE, Scalar
-
-#: The one invertible pair of base names built into the algebra.
-INVERSE_PAIRS = (("U", "Uinv"),)
 
 #: Base name treated as a coordinate when indexed: derive(x[i], q) = delta_iq.
 COORDINATE_BASE = "x"
@@ -33,8 +30,8 @@ COORDINATE_BASE = "x"
 #: ``mu`` is the positive weight of the two-generator pairing sector.
 CONSTANT_NAMES = frozenset({"mu"})
 
-#: Base names of the invertible pairs.
-_PAIR_NAMES = frozenset(n for pair in INVERSE_PAIRS for n in pair)
+#: Base names of the one invertible pair built into the algebra.
+_PAIR_NAMES = frozenset(("U", "Uinv"))
 
 #: The words the expression grammar reads as something other than a symbol,
 #: by what they read as.  No symbol takes one as its name.
@@ -139,11 +136,10 @@ class JetSymbol(tuple):
 Word = tuple[JetSymbol, ...]
 
 
-#: Each bare letter of an invertible pair -> the letter it cancels against.
+#: Each bare letter of the invertible pair -> the letter it cancels against.
 _INVERSE = {
     JetSymbol(a, barred=barred): JetSymbol(b, barred=barred)
-    for pair in INVERSE_PAIRS
-    for a, b in (pair, pair[::-1])
+    for a, b in (("U", "Uinv"), ("Uinv", "U"))
     for barred in (False, True)
 }
 
@@ -249,17 +245,12 @@ class CoeffExpr(LinComb):
 
     def __init__(
         self,
-        terms: Mapping[Word, Scalar] | Iterable[tuple[Scalar, Iterable[JetSymbol]]] = (),
+        terms: Iterable[tuple[Scalar, Iterable[JetSymbol]]] = (),
         commutative: bool = False,
     ) -> None:
         self.commutative = commutative
         acc: dict[Word, Scalar] = {}
-        items: Iterable[tuple[Scalar, Iterable[JetSymbol]]]
-        if isinstance(terms, Mapping):
-            items = ((c, w) for w, c in terms.items())
-        else:
-            items = terms
-        for coeff, word in items:
+        for coeff, word in terms:
             accumulate(acc, normalize_word(word, commutative), coeff)
         self.terms = acc
 

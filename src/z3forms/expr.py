@@ -29,9 +29,11 @@ which the parser reads as plain strings.  No lexeme carries a position;
 the line and column of a ``ParseError`` are computed only when it is
 raised, by scanning the text again up to the lexeme it names.
 
-Evaluation promotes scalars into coefficient expressions and those into
-forms as products require; Grassmann elements and matrices only combine
-with scalars and among themselves.
+Evaluation has one promotion rule for ``+`` and ``*``: a scalar scales a
+value of any other kind; two kinds of scalar < coeff < form promote to
+the larger one (a scalar is a constant coefficient, a coefficient a
+degree-0 form); any other pair must have one kind, and conjugate values
+do not multiply.
 """
 
 from __future__ import annotations
@@ -67,12 +69,7 @@ class EvalError(ValueError):
 
 @dataclass(frozen=True)
 class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class JLit:
-    power: int = 1
+    value: Scalar
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ class MatLit:
     rows: tuple[tuple["Node", ...], ...]
 
 
-Node = Union[Lit, JLit, Sym, Gen, DApply, DIdx, DeltaApply, Prod, Sum, MatLit]
+Node = Union[Lit, Sym, Gen, DApply, DIdx, DeltaApply, Prod, Sum, MatLit]
 
 
 # -- lexer -------------------------------------------------------------------------
@@ -270,11 +267,11 @@ class _Parser:
         if tok.isdecimal():
             num = self.int_at(at)
             if not self.accept("/"):
-                return Lit(Fraction(num))
+                return Lit(scalar(num))
             den = self.expect_int()
             if den == 0:
                 self.fail("zero denominator", at + 2)
-            return Lit(Fraction(num, den))
+            return Lit(scalar(Fraction(num, den)))
         if tok == "(":
             return self.closed_sum()
         if tok == "~":
@@ -283,7 +280,7 @@ class _Parser:
                 self.fail("~ applies to a symbol", at)
             return Sym(inner.name, inner.index, inner.derivs, barred=True)
         if tok == "j":
-            return JLit(self.expect_int() if self.accept("^") else 1)
+            return Lit(jpow(self.expect_int() if self.accept("^") else 1))
         if tok == "d":
             if self.accept("("):
                 return DApply(self.closed_sum())
@@ -351,11 +348,8 @@ _KINDS: dict[type, str] = {
 }
 
 
-def _kind(v: Value) -> str:
-    kind = _KINDS.get(type(v))
-    if kind is None:
-        raise EvalError(f"unsupported value {type(v).__name__}")
-    return kind
+#: The kinds that promote into one another, smallest first.
+_LADDER = ("scalar", "coeff", "form")
 
 
 def _to_coeff(v: Value, ctx: EvalContext) -> CoeffExpr:
@@ -363,7 +357,7 @@ def _to_coeff(v: Value, ctx: EvalContext) -> CoeffExpr:
         return CoeffExpr.from_scalar(v, ctx.commutative)
     if isinstance(v, CoeffExpr):
         return v
-    raise EvalError(f"cannot use a {_kind(v)} value as a coefficient")
+    raise EvalError(f"cannot use a {_KINDS[type(v)]} value as a coefficient")
 
 
 def _to_form(v: Value, ctx: EvalContext) -> Form:
@@ -373,29 +367,17 @@ def _to_form(v: Value, ctx: EvalContext) -> Form:
 
 
 def _combine(op: str, a: Value, b: Value, ctx: EvalContext) -> Value:
-    ka, kb = _kind(a), _kind(b)
-    if op == "+":
-        if ka == kb == "scalar":
-            return a + b
-        if {ka, kb} <= {"scalar", "coeff"}:
-            return _to_coeff(a, ctx) + _to_coeff(b, ctx)
-        if {ka, kb} <= {"scalar", "coeff", "form"}:
-            return _to_form(a, ctx) + _to_form(b, ctx)
-        if ka == kb:
-            return a + b
-        raise EvalError(f"cannot add a {ka} value and a {kb} value")
-    # product; every value kind scales by a scalar the same way
-    if ka == kb == "scalar":
-        return a * b
-    if ka == "scalar":
-        return b.scale(a)
-    if kb == "scalar":
-        return a.scale(b)
-    if ka == kb and ka != "conj":
-        return a * b
-    if {ka, kb} <= {"coeff", "form"}:
-        return _to_form(a, ctx) * _to_form(b, ctx)
-    raise EvalError(f"cannot multiply a {ka} value and a {kb} value")
+    """``a + b`` or ``a * b`` by the promotion rule of the module docstring."""
+    ka, kb = _KINDS[type(a)], _KINDS[type(b)]
+    if ka != kb and op == "*" and "scalar" in (ka, kb):
+        return b.scale(a) if ka == "scalar" else a.scale(b)
+    if ka != kb and ka in _LADDER and kb in _LADDER:
+        promote = _to_form if "form" in (ka, kb) else _to_coeff
+        a, b = promote(a, ctx), promote(b, ctx)
+    elif ka != kb or (op == "*" and ka == "conj"):
+        verb = "add" if op == "+" else "multiply"
+        raise EvalError(f"cannot {verb} a {ka} value and a {kb} value")
+    return a + b if op == "+" else a * b
 
 
 def evaluate(node: Node, ctx: EvalContext) -> Value:
@@ -415,9 +397,7 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
 
 def _evaluate(node: Node, ctx: EvalContext) -> Value:
     if isinstance(node, Lit):
-        return scalar(node.value)
-    if isinstance(node, JLit):
-        return jpow(node.power)
+        return node.value
     if isinstance(node, Sym):
         sym = JetSymbol(node.name, node.index, node.derivs, node.barred)
         return CoeffExpr.from_symbol(sym, ctx.commutative)
@@ -432,7 +412,7 @@ def _evaluate(node: Node, ctx: EvalContext) -> Value:
         return Form(ctx.n, [(ONE, (letter,))], ctx.commutative)
     if isinstance(node, DApply):
         v = _evaluate(node.arg, ctx)
-        k = _kind(v)
+        k = _KINDS[type(v)]
         if k == "matrix":
             return eta_differential(v)
         if k == "grass":
@@ -447,7 +427,7 @@ def _evaluate(node: Node, ctx: EvalContext) -> Value:
         return _to_coeff(v, ctx).derive(node.index)
     if isinstance(node, DeltaApply):
         v = _evaluate(node.arg, ctx)
-        if _kind(v) == "conj":
+        if isinstance(v, ConjForm):
             raise EvalError("delta applies to degree-3 forms, not conjugate values")
         return ConjForm(_to_form(v, ctx))
     if isinstance(node, Prod):
@@ -465,16 +445,7 @@ def _evaluate(node: Node, ctx: EvalContext) -> Value:
         assert acc is not None
         return acc
     if isinstance(node, MatLit):
-        entries = []
-        for row in node.rows:
-            out_row = []
-            for cell in row:
-                v = _evaluate(cell, ctx)
-                if not isinstance(v, Scalar):
-                    raise EvalError("matrix entries must be scalars")
-                out_row.append(v)
-            entries.append(out_row)
-        return GradedMatrix(entries)
+        return GradedMatrix([[_evaluate(cell, ctx) for cell in row] for row in node.rows])
     raise EvalError(f"unknown AST node {type(node).__name__}")
 
 

@@ -40,6 +40,8 @@ class GradedMatrix(LinComb):
         for g in range(3):
             for i in range(3):
                 entry = rows[i][(i + g) % 3]
+                if not isinstance(entry, Scalar):
+                    raise ValueError("matrix entries must be scalars")
                 if not entry.is_zero():
                     terms[(g, i)] = entry
         self.terms = terms

@@ -146,7 +146,8 @@ def test_criterion_05_worked_expansions():
 
 def abelianize(table) -> dict:
     """Re-normalize every entry's words with commuting coefficients."""
-    return {key: CoeffExpr(value.terms, True) for key, value in table.items()}
+    return {key: CoeffExpr([(c, w) for w, c in value.terms.items()], True)
+            for key, value in table.items()}
 
 
 def _difference(a, b, commutative: bool) -> dict:

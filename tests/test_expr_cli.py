@@ -7,13 +7,18 @@ import json
 
 import pytest
 
+from fractions import Fraction
+
 from z3forms import (
+    J,
+    J2,
     ONE,
     CoeffExpr,
     ConjForm,
     EvalContext,
     EvalError,
     Form,
+    GradedMatrix,
     GrassElement,
     JetSymbol,
     ParseError,
@@ -21,6 +26,7 @@ from z3forms import (
     evaluate_text,
     print_canonical,
     run_verify,
+    scalar,
 )
 from z3forms.cli import main
 from z3forms.expr import MAX_DEPTH, parse
@@ -95,7 +101,9 @@ def test_evaluation_errors():
     ("U[1]", lambda: JetSymbol("U", 1)),
     ("~mu", lambda: JetSymbol("mu", barred=True)),
     ("delta(f)", lambda: ConjForm(coefficient_form(CoeffExpr.from_symbol(JetSymbol("f")), 4))),
-], ids=["dx", "ddx", "th", "U", "mu", "delta"])
+    ("mat[f, 1, 1; 1, 1, 1; 1, 1, 1]",
+     lambda: GradedMatrix([[CoeffExpr.from_symbol(JetSymbol("f")), ONE, ONE]] + [[ONE] * 3] * 2)),
+], ids=["dx", "ddx", "th", "U", "mu", "delta", "mat"])
 def test_evaluation_reports_the_constructors_error(text, build):
     # The value constructors own these checks; the evaluator only turns
     # their ValueError into an EvalError with the same text.
@@ -115,6 +123,13 @@ def test_conjugate_side_generator_is_rejected_before_its_index():
     # delx[9] has two faults; the kind is checked first, before any constructor.
     with pytest.raises(EvalError, match=r"built with delta\(\.\.\.\), not directly"):
         evaluate_text("delx[9]", EvalContext(n=4))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("j^4", J), ("j^2", J2), ("2/4", scalar(Fraction(1, 2))), ("7", scalar(7)),
+])
+def test_literals_evaluate_to_scalars(text, want):
+    assert evaluate_text(text, EvalContext(n=2)) == want
 
 
 def test_dimension_context_enforced():
@@ -184,6 +199,15 @@ def test_cli_lagrangian(capsys):
     assert "mu" in capsys.readouterr().out
     assert main(["lagrangian", "--dim", "2", "--mu", "0"]) == 2
     assert main(["lagrangian", "--dim", "2", "--mu", "nonsense"]) == 2
+
+
+def test_cli_lagrangian_json_writes_the_weight_it_used(capsys):
+    bodies = set()
+    for mu in ("0.5", "1/2", " 2/4"):
+        assert main(["lagrangian", "--dim", "2", "--mu", mu, "--json"]) == 0
+        bodies.add(capsys.readouterr().out)
+    assert len(bodies) == 1
+    assert json.loads(bodies.pop())["mu"] == "1/2"
 
 
 def test_cli_exit_codes(capsys):

@@ -91,7 +91,7 @@ def echelon_lorenz_reduce(x: CoeffExpr, n: int, base: str = "A") -> CoeffExpr:
     for consts, group in split.items():
         for w, c in _reduce(group, rows).items():
             accumulate(out, tuple(sorted(consts + w, key=jet_key)), c)
-    return CoeffExpr(out, True)
+    return CoeffExpr([(c, w) for w, c in out.items()], True)
 
 
 @PROPERTY

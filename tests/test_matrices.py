@@ -6,12 +6,15 @@ on verify's generators."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from z3forms import (
     ETA,
+    CoeffExpr,
     GradedMatrix,
+    JetSymbol,
     eta_differential,
     graded_commutator,
 )
@@ -80,6 +83,13 @@ def test_differential_linear_over_graded_parts():
         for part in parts.values():
             recombined = recombined + eta_differential(part)
         assert (eta_differential(b) - recombined).is_zero()
+
+
+@pytest.mark.parametrize("entry", [1, Fraction(1, 2), CoeffExpr.from_symbol(JetSymbol("f"))],
+                         ids=["int", "Fraction", "CoeffExpr"])
+def test_constructor_rejects_entries_that_are_not_scalars(entry):
+    with pytest.raises(ValueError, match="^matrix entries must be scalars$"):
+        GradedMatrix([[ONE, ONE, ONE], [ONE, entry, ONE], [ONE, ONE, ONE]])
 
 
 def test_graded_commutator_requires_homogeneous():
