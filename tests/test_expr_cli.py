@@ -4,10 +4,9 @@ deterministic verification reports."""
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
-
-from fractions import Fraction
 
 from z3forms import (
     J,
