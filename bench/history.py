@@ -6,11 +6,12 @@ holds the median.  One record per case:
 
     {layer, case, n, median_s, repeats, terms, calls, python, commit}
 
-``terms`` is the number of terms in the value the case builds (``null``
-where a case builds no single value), so two records of one case can be
-checked to have done the same work.  ``calls`` maps each function of
-``COUNTED`` to the number of calls one run makes to it; unlike the
-timings, the counts do not move with the machine.  The start-up cases
+``terms`` is the number of terms in the value the case builds (the
+number of words for a Grassmann basis; ``null`` where a case builds no
+single value), so two records of one case can be checked to have done
+the same work.  ``calls`` maps each function of ``COUNTED`` to the
+number of calls one run makes to it; unlike the timings, the counts do
+not move with the machine.  The start-up cases
 time a fresh ``sys.executable`` process that imports the measured
 z3forms (with the caller's environment), so their ``terms`` and
 ``calls`` are ``null``.  ``commit`` is ``git
@@ -102,6 +103,8 @@ def cases(z) -> list[Case]:
                         lambda n=n: z.field_equation_report(n), variation_terms))
     out.append(Case("verify", "run_verify('all', seed=0, cases=50)", None,
                     lambda: z.run_verify("all", 0, 50), lambda report: None))
+    out += [Case("grassmann", "enumerate_basis(N)", n, lambda n=n: z.enumerate_basis(n), len)
+            for n in (3, 4, 5)]
     big = z.curvature(z.generic_connection(12))
     out.append(Case("render", "str(curvature(generic_connection(n)))", 12,
                     lambda: str(big), lambda text: len(big.terms)))

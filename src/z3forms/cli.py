@@ -13,6 +13,7 @@ verify SUITE [--seed S] [--cases N]
                          run an identity suite; SUITE in
                          {all, scalar, grassmann, matrix, forms, gauge, action}
 
+Each command is declared once, in ``_build_parser``, with its handler.
 Every command accepts ``--json``.  Exit codes: 0 success, 1 verification
 failure, 2 usage or parse error.  The default dimension comes from the
 Z3FORMS_DIM environment variable (fallback 4); like ``--dim``, it must
@@ -74,35 +75,40 @@ def _build_parser(default_dim: int) -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dim", type=_dimension, default=default_dim,
                        help=f"generator index range (default {default_dim})")
         p.add_argument("--json", action="store_true", help="JSON output")
 
-    p = sub.add_parser("normalize", help="canonical text of an expression")
+    p = command("normalize", _cmd_normalize, "canonical text of an expression")
     p.add_argument("-e", "--expr", required=True)
     add_common(p)
 
-    p = sub.add_parser("d", help="apply the differential")
+    p = command("d", _cmd_d, "apply the differential")
     p.add_argument("-e", "--expr", required=True)
     p.add_argument("-n", "--times", type=int, default=1, choices=(1, 2, 3))
     add_common(p)
 
-    p = sub.add_parser("grade", help="grade/degree of an expression")
+    p = command("grade", _cmd_grade, "grade/degree of an expression")
     p.add_argument("-e", "--expr", required=True)
     add_common(p)
 
-    p = sub.add_parser("curvature", help="curvature of a built-in connection")
+    p = command("curvature", _cmd_curvature, "curvature of a built-in connection")
     p.add_argument("--gauge", default="generic",
                    help="abelian | generic | pure:U")
     add_common(p)
 
-    p = sub.add_parser("lagrangian", help="quadratic Lagrangian density")
+    p = command("lagrangian", _cmd_lagrangian, "quadratic Lagrangian density")
     p.add_argument("--mu", default=None,
                    help="numeric sector weight (rational); formal if omitted")
     add_common(p)
 
-    p = sub.add_parser("verify", help="run an identity suite")
+    p = command("verify", _cmd_verify, "run an identity suite")
     p.add_argument("suite", help="all | " + " | ".join(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=50)
@@ -158,24 +164,18 @@ def _make_connection(kind: str, n: int):
     raise EvalError(f"unknown gauge kind {kind!r}: use abelian, generic, pure:U")
 
 
+def _sector(table) -> dict[str, str]:
+    """A component table for JSON, each index tuple keyed by its comma-joined indices."""
+    return {",".join(map(str, key)): str(expr) for key, expr in sorted(table.items())}
+
+
 def _cmd_curvature(args: argparse.Namespace) -> int:
     conn = _make_connection(args.gauge, args.dim)
     omega = curvature(conn)
     text = print_canonical(omega)
     comps = components(omega)
-    payload = {
-        "dim": args.dim,
-        "gauge": args.gauge,
-        "curvature": text,
-        "dx_sector": {
-            ",".join(map(str, key)): str(expr)
-            for key, expr in sorted(comps.T3.items())
-        },
-        "ddx_dx_sector": {
-            ",".join(map(str, key)): str(expr)
-            for key, expr in sorted(comps.T21.items())
-        },
-    }
+    payload = {"dim": args.dim, "gauge": args.gauge, "curvature": text,
+               "dx_sector": _sector(comps.T3), "ddx_dx_sector": _sector(comps.T21)}
     _emit(payload, text, args.json)
     return 0
 
@@ -203,16 +203,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-_COMMANDS = {
-    "normalize": _cmd_normalize,
-    "d": _cmd_d,
-    "grade": _cmd_grade,
-    "curvature": _cmd_curvature,
-    "lagrangian": _cmd_lagrangian,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         default_dim = _dimension(os.environ.get("Z3FORMS_DIM", "4"))
@@ -221,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     args = _build_parser(default_dim).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"z3forms: {exc}", file=sys.stderr)
         return 2

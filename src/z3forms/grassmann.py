@@ -18,6 +18,7 @@ Canonical words stored by ``GrassElement``:
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable
 
 from .forms import canonical_cycle
@@ -113,34 +114,21 @@ class GrassElement(LinComb):
 
 
 def enumerate_basis(N: int) -> list[tuple[GrassWord, int]]:
-    """All canonical nonzero words with their grades, in deterministic order.
+    """Every word that normalization keeps, with its grade, in first-seen order.
 
-    Counts: 1 unit, N + N single letters, 3 N^2 two-letter words, and
-    (N^3 - N)/3 cyclic classes for each pure triple kind.
+    Each raw word of at most three letters over ``th[1..N]`` and
+    ``bth[1..N]`` is normalized; each surviving canonical word is listed
+    once.  Counts: 1 unit, N + N single letters, 3 N^2 two-letter words,
+    and (N^3 - N)/3 cyclic classes for each pure triple kind.
     """
-    basis: list[tuple[GrassWord, int]] = [((), 0)]
-    rng = range(1, N + 1)
-    for kind in ("th", "bth"):
-        for a in rng:
-            word: GrassWord = ((kind, a),)
-            basis.append((word, word_grade(word)))
-    for k1, k2 in (("th", "th"), ("bth", "bth"), ("th", "bth")):
-        for a in rng:
-            for b in rng:
-                word = ((k1, a), (k2, b))
-                basis.append((word, word_grade(word)))
-    for kind in ("th", "bth"):
-        seen: set[GrassWord] = set()
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if a == b == c:
-                        continue
-                    _, least = canonical_cycle(((kind, a), (kind, b), (kind, c)))
-                    if least not in seen:
-                        seen.add(least)
-                        basis.append((least, word_grade(least)))
-    return basis
+    letters = [(kind, a) for kind in ("th", "bth") for a in range(1, N + 1)]
+    basis: dict[GrassWord, int] = {}
+    for length in range(4):
+        for raw in product(letters, repeat=length):
+            got = _normalize_letters(raw, N)
+            if got is not None:
+                basis.setdefault(got[1], word_grade(got[1]))
+    return list(basis.items())
 
 
 def theta_only_count(N: int) -> int:

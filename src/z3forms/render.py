@@ -14,7 +14,7 @@ identically.  The output is valid input for the expression parser:
 from __future__ import annotations
 
 from .forms import word_degree
-from .scalar import ONE, Scalar
+from .scalar import ONE, Scalar, _join_terms
 
 
 def _scalar_prefix(s: Scalar) -> str:
@@ -27,15 +27,6 @@ def _scalar_prefix(s: Scalar) -> str:
     if " " in text:
         text = f"({text})"
     return f"{text} * "
-
-
-def _join_terms(parts: list[str]) -> str:
-    if not parts:
-        return "0"
-    out = [parts[0]]
-    for p in parts[1:]:
-        out += (" - ", p[1:]) if p.startswith("-") else (" + ", p)
-    return "".join(out)
 
 
 def _jet_text(sym) -> str:
@@ -51,12 +42,20 @@ def _letter_text(letter) -> str:
 
 
 def _render_terms(terms, key, letter_text) -> str:
-    """Terms sorted by ``key`` on their words: scalar prefix, then letters."""
+    """Terms sorted by ``key`` on their words: scalar prefix, then letters.
+    Each distinct coefficient's prefix is made once per call."""
+    prefixes: dict[Scalar, str] = {}
     parts = []
     for word in sorted(terms, key=key):
         coeff = terms[word]
         body = " ".join(letter_text(letter) for letter in word)
-        parts.append(_scalar_prefix(coeff) + body if body else str(coeff))
+        if not body:
+            parts.append(str(coeff))
+            continue
+        prefix = prefixes.get(coeff)
+        if prefix is None:
+            prefix = prefixes[coeff] = _scalar_prefix(coeff)
+        parts.append(prefix + body)
     return _join_terms(parts)
 
 

@@ -148,28 +148,13 @@ class Scalar:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         a, b = self.a, self.b
-        if (a, b) == (0, 1):
-            return "j"
         if (a, b) == (-1, -1):
             return "j^2"
-        parts: list[str] = []
-        if a != 0:
-            parts.append(str(a))
+        parts = [str(a)] if a != 0 else []
         if b != 0:
-            if b == 1:
-                jpart = "j"
-            elif b == -1:
-                jpart = "-j"
-            else:
-                jpart = f"{b}*j"
-            parts.append(jpart)
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+            parts.append("j" if b == 1 else "-j" if b == -1 else f"{b}*j")
+        return _join_terms(parts)
 
     def __repr__(self) -> str:
         return f"Scalar({self.a!r}, {self.b!r})"
@@ -199,6 +184,16 @@ def _reduced(p: int, q: int, r: int) -> Scalar:
     if g != 1:
         p, q, r = p // g, q // g, r // g
     return _make(p, q, r)
+
+
+def _join_terms(parts: list[str]) -> str:
+    """Parts as one signed sum, a part ``-p`` joined as ``... - p``; no parts is ``0``."""
+    if not parts:
+        return "0"
+    out = [parts[0]]
+    for p in parts[1:]:
+        out += (" - ", p[1:]) if p.startswith("-") else (" + ", p)
+    return "".join(out)
 
 
 ZERO = Scalar(0)

@@ -66,6 +66,14 @@ def test_forms_case_times_d_of_the_degree_two_part():
         assert case.run() == want and case.terms(case.run()) == len(want.terms)
 
 
+def test_grassmann_case_lists_the_basis():
+    got = [c for c in history.cases(z3forms) if c.layer == "grassmann"]
+    assert [c.n for c in got] == [3, 4, 5]
+    for case in got:
+        basis = z3forms.enumerate_basis(case.n)
+        assert case.run() == basis and case.terms(case.run()) == len(basis)
+
+
 def test_render_case_prints_the_n12_curvature():
     (case,) = [c for c in history.cases(z3forms) if c.layer == "render"]
     big = z3forms.curvature(z3forms.generic_connection(12))

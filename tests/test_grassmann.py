@@ -12,7 +12,8 @@ from z3forms import (
     theta,
     theta_only_count,
 )
-from z3forms.scalar import J, J2, jpow
+from z3forms.grassmann import _normalize_letters, word_grade
+from z3forms.scalar import J, J2, ONE, jpow
 
 THETA_ONLY = {1: 2, 2: 8, 3: 20, 4: 40, 5: 70}
 
@@ -44,6 +45,23 @@ def test_enumerated_basis_agrees_with_counts():
         assert len(theta_only) == theta_only_count(N)
         # unit + singles + pairs + conjugate-count triples, exact closed form
         assert len(words) == 1 + 2 * N + 3 * N * N + 2 * (N**3 - N) // 3
+
+
+def test_basis_is_closed_under_normalization():
+    # Exhaustive over every raw word of 0-4 letters for N = 1..3: each
+    # normalizes to zero or to a basis word, and each basis word, listed
+    # once with its grade, is its own canonical form.
+    for N in (1, 2, 3):
+        basis = enumerate_basis(N)
+        words = dict(basis)
+        assert len(words) == len(basis)
+        for w, grade in basis:
+            assert _normalize_letters(w, N) == (ONE, w)
+            assert grade == word_grade(w)
+        for length in range(5):
+            for raw in itertools.product(all_letters(N), repeat=length):
+                got = _normalize_letters(raw, N)
+                assert got is None or got[1] in words
 
 
 def test_generator_cubes_vanish():

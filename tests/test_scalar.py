@@ -110,9 +110,16 @@ def test_exact_fraction_components():
     # (a + b j)(c + d j) with j^2 = -1 - j, fully exact.
     a, b, c, d = Fraction(1, 3), Fraction(2, 5), Fraction(-4, 7), Fraction(1, 2)
     assert prod == Scalar(a * c - b * d, a * d + b * c - b * d)
-    assert str(scalar(0, 1)) == "j"
-    assert str(scalar(-1, -1)) == "j^2"
-    assert str(ZERO) == "0"
+
+
+@pytest.mark.parametrize("value, text", [
+    (ZERO, "0"), (J, "j"), (-J, "-j"), (J2, "j^2"), (scalar(0, 2), "2*j"),
+    (scalar(Fraction(-1, 3)), "-1/3"), (scalar(Fraction(1, 2), 3), "1/2 + 3*j"),
+    (scalar(Fraction(1, 2), -3), "1/2 - 3*j"), (scalar(-2, -1), "-2 - j"),
+    (scalar(-1, -2), "-1 - 2*j"),
+])
+def test_scalar_text(value, text):
+    assert str(value) == text
 
 
 def test_verify_draws_scalars_as_the_fraction_pair_does():
